@@ -54,6 +54,8 @@ def _parse_bounds(pairs) -> dict[str, int]:
             bounds[key] = int(value)
         except ValueError as exc:
             raise ConfigError(f"bound {key} needs an integer, got {value!r}") from exc
+        if bounds[key] < 0:
+            raise ConfigError(f"bound {key} must be >= 0, got {bounds[key]}")
         if bounds[key] > DEFAULT_BOUNDS[key]:
             print(
                 f"warning: bound {key}={bounds[key]} above default "
@@ -61,6 +63,14 @@ def _parse_bounds(pairs) -> dict[str, int]:
                 file=sys.stderr,
             )
     return bounds
+
+
+def _env_jobs() -> int:
+    value = os.environ.get("FLAGSTRATA_JOBS", "1")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ConfigError(f"FLAGSTRATA_JOBS needs an integer, got {value!r}") from exc
 
 
 def _emit(rows, header, fmt, payload=None):
@@ -378,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("FLAGSTRATA_JOBS", "1")),
         help="worker processes for the big sweeps (default: FLAGSTRATA_JOBS or 1)",
     )
     parser.add_argument(
@@ -386,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="KEY=VALUE",
         help="override a selftest sweep bound (repeatable)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="reserved; every algorithm here is exact and deterministic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -443,6 +446,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         bounds = _parse_bounds(args.bound)
+        if args.jobs is None:
+            args.jobs = _env_jobs()
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         header, rows, ok, payload = COMMANDS[args.command](args, bounds)

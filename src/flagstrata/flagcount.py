@@ -9,10 +9,13 @@ Brute-force counters over F_2 and F_3 validate every polynomial formula.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
+from operator import mul
 
 from . import gf
 from .coweights import as_partition, conjugate, partitions
@@ -311,75 +314,94 @@ def aut_order_poly(mu) -> QPoly:
 
 
 def count_commutant_units_brute(mu, q: int) -> int:
-    """Count invertible matrices commuting with the Jordan nilpotent, by enumeration.
+    """Count invertible matrices commuting with the Jordan nilpotent, exhaustively.
 
-    Walks the full commutant algebra coefficient-by-coefficient (vectorized
-    over a precomputed low-digit table) and counts the elements with nonzero
-    determinant mod q.  Up to 3^16 matrices for mu = (1,1,1,1), q = 3.
+    Meet in the middle over the generalised Laplace expansion along the top
+    r = ceil(n/2) rows: det M is the signed sum over r-subsets S of columns of
+    det(top rows, S) * det(bottom rows, complement of S).  The commutant C
+    splits as W + K, where K holds the elements of C whose top rows are zero,
+    so each element of C is w + k with the top rows of w.  The top-minor
+    vectors of W are binned by the bottom rows of w; for each such bottom
+    offset the bottom-minor vectors of offset + K are binned too, and the count
+    adds the product of the bin sizes over every bin pair whose Laplace sum is
+    nonzero mod q.  Every matrix of C is counted exactly once, and nothing
+    here uses the |Aut| formula, so aut_order_poly is checked independently.
     """
-    import numpy as np
-
     module = FiniteModule(q, as_partition(mu))
     n = module.dim
-    if n > 4:
-        raise ValueError("unit count capped at dimension 4")
+    if n > BRUTE_FLAG_LIMIT[q]:
+        raise ValueError(f"unit count capped at dimension {BRUTE_FLAG_LIMIT[q]} for q={q}")
     if n == 0:
         return 1
-    basis = gf.commutant_basis(module.operator, q)
-    dim = len(basis)
-    flat = np.array(
-        [[b[i][j] for i in range(n) for j in range(n)] for b in basis], dtype=np.int16
-    )
-    low = min(dim, 12)
-    low_sums = _digit_table(q, low) @ flat[:low] % q
-    if dim > low:
-        high_sums = _digit_table(q, dim - low) @ flat[low:] % q
-    else:
-        high_sums = np.zeros((1, n * n), dtype=np.int16)
+    r = (n + 1) // 2
+    split = r * n
+    # row-major flattening puts the top r rows first, so the RREF rows with a
+    # pivot past `split` are a basis of K and the others span a complement W
+    basis = gf.rref([sum(b, ()) for b in gf.commutant_basis(module.operator, q)], q)
+    complement = [v for v in basis if any(v[:split])]
+    kernel = [v[split:] for v in basis if not any(v[:split])]
+    minors = _minor_table(n, q)
+    # per top column subset S: the index of its complement's bottom minor and
+    # the Laplace sign, less the factor (-1)^(r(r-1)/2) that all terms share
+    bottom_index = {s: i for i, s in enumerate(combinations(range(n), n - r))}
+    laplace = [
+        (bottom_index[tuple(j for j in range(n) if j not in s)], (-1) ** sum(s))
+        for s in combinations(range(n), r)
+    ]
+    top_bins: dict[tuple, Counter] = defaultdict(Counter)
+    for v in _span((0,) * (n * n), complement, q):
+        top_bins[v[split:]][minors(_rows(v[:split], n))] += 1
     count = 0
-    for hv in high_sums:
-        mats = ((low_sums + hv) % q).reshape(-1, n, n)
-        dets = _det_small(mats) % q
-        count += int(np.count_nonzero(dets))
+    for offset, tops in top_bins.items():
+        bottoms = Counter(minors(_rows(v, n)) for v in _span(offset, kernel, q))
+        aligned = [(tuple(sign * m[i] for i, sign in laplace), c) for m, c in bottoms.items()]
+        for t, a in tops.items():
+            for b, c in aligned:
+                if sum(map(mul, t, b)) % q:
+                    count += a * c
     return count
 
 
-def _digit_table(q: int, k: int):
-    import numpy as np
-
-    idx = np.arange(q**k, dtype=np.int64)
-    return ((idx[:, None] // q ** np.arange(k, dtype=np.int64)) % q).astype(np.int16)
+def _rows(flat: tuple, n: int) -> gf.Matrix:
+    return tuple(flat[i:i + n] for i in range(0, len(flat), n))
 
 
-def _det_small(mats):
-    """Vectorized determinant of a stack of n x n matrices, n <= 4."""
-    import numpy as np
+def _span(start: gf.Vector, vectors, q: int) -> list[gf.Vector]:
+    """start plus every F_q-combination of linearly independent vectors, once each."""
+    out = [start]
+    for v in vectors:
+        out += [tuple((x + c * y) % q for x, y in zip(e, v)) for c in range(1, q) for e in out]
+    return out
 
-    m = mats.astype(np.int32)
-    n = m.shape[-1]
-    if n == 1:
-        return m[:, 0, 0]
-    if n == 2:
-        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
 
-    def minor(r1, r2, c1, c2):
-        return m[:, r1, c1] * m[:, r2, c2] - m[:, r1, c2] * m[:, r2, c1]
+def _minor_table(n: int, q: int):
+    """Memoized map from a k x n block (a tuple of rows) to its k x k minors mod q.
 
-    if n == 3:
-        return (
-            m[:, 0, 0] * minor(1, 2, 1, 2)
-            - m[:, 0, 1] * minor(1, 2, 0, 2)
-            + m[:, 0, 2] * minor(1, 2, 0, 1)
+    The minors are listed by column subset in lexicographic order.  Each is
+    expanded along the block's first row, so the minors of the rows below are
+    looked up, not recomputed, when blocks share them.
+    """
+    expansions: list[list] = [[]]
+    for k in range(1, n + 1):
+        lower = {s: i for i, s in enumerate(combinations(range(n), k - 1))}
+        expansions.append(
+            [
+                [(j, lower[s[:i] + s[i + 1:]], (-1) ** i) for i, j in enumerate(s)]
+                for s in combinations(range(n), k)
+            ]
         )
-    # Laplace expansion along the first two rows against complementary minors
-    return (
-        minor(0, 1, 0, 1) * minor(2, 3, 2, 3)
-        - minor(0, 1, 0, 2) * minor(2, 3, 1, 3)
-        + minor(0, 1, 0, 3) * minor(2, 3, 1, 2)
-        + minor(0, 1, 1, 2) * minor(2, 3, 0, 3)
-        - minor(0, 1, 1, 3) * minor(2, 3, 0, 2)
-        + minor(0, 1, 2, 3) * minor(2, 3, 0, 1)
-    )
+    memo: dict[gf.Matrix, tuple[int, ...]] = {(): (1,)}
+
+    def minors(rows: gf.Matrix) -> tuple[int, ...]:
+        if rows not in memo:
+            first, below = rows[0], minors(rows[1:])
+            memo[rows] = tuple(
+                sum(sign * first[j] * below[t] for j, t, sign in terms) % q
+                for terms in expansions[len(rows)]
+            )
+        return memo[rows]
+
+    return minors
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +423,14 @@ def fiber_mass(mu, mup) -> QRat:
     )
 
 
-def collided_fiber_mass(d: int, dp: int) -> tuple[QRat, int, int]:
+def collided_fiber_mass(d: int, dp: int) -> tuple[QRat, int, int | Fraction]:
     """Total groupoid mass over all module types of degrees (d, d').
 
-    Returns (mass, degree, leading coefficient).  The degree must be -d' and
-    the leading coefficient must equal the number of pairings of d pairs and
-    d'-d singletons; both are asserted by the acceptance suite, not here.
+    Returns (mass, degree, leading coefficient).  The leading coefficient is
+    exact: an int when it is integral, else a Fraction, which then equals no
+    pairing count.  The degree must be -d' and the leading coefficient must
+    equal the number of pairings of d pairs and d'-d singletons; callers
+    check both.
     """
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
@@ -415,8 +439,7 @@ def collided_fiber_mass(d: int, dp: int) -> tuple[QRat, int, int]:
         for mup in partitions(dp):
             mass = mass + fiber_mass(mu, mup)
     leading = mass.leading
-    assert leading.denominator == 1
-    return mass, mass.degree, int(leading)
+    return mass, mass.degree, leading.numerator if leading.denominator == 1 else leading
 
 
 def groupoid_dim_check(mu) -> bool:

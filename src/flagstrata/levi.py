@@ -48,6 +48,10 @@ def parse_blocks(n: int, text: str) -> BlockLevi:
     import json
 
     data = json.loads(text)
+    if not isinstance(data, list) or not all(
+        isinstance(b, list) and all(type(i) is int for i in b) for b in data
+    ):
+        raise ValueError(f"blocks must be a JSON list of lists of integers, got {text!r}")
     return BlockLevi(n, [tuple(b) for b in data])
 
 

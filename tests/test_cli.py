@@ -73,7 +73,7 @@ def test_levi_command(capsys):
     assert row[0] == "[[1,3],[2,4]]" and row[1] == "True" and row[-1] == "True"
 
 
-def test_invalid_config_exit_2(capsys):
+def test_invalid_config_exit_2(capsys, monkeypatch):
     assert run(capsys, "orbits", "3", "3", "2")[0] == 2
     assert run(capsys, "orbits", "1", "1", "5")[0] == 2
     assert run(capsys, "schur", "1", "3", "1")[0] == 2
@@ -81,6 +81,12 @@ def test_invalid_config_exit_2(capsys):
     assert run(capsys, "--bound", "schur_n", "selftest")[0] == 2
     assert run(capsys, "levi", "4", "[[1,3],[2,4]", "1", "1")[0] == 2
     assert run(capsys, "--jobs", "0", "fibermass", "1", "1")[0] == 2
+    assert run(capsys, "--bound", "brute_aut_size=-1", "selftest")[0] == 2
+    code, _, err = run(capsys, "levi", "2", "[1,2]", "1", "1")
+    assert code == 2 and err.startswith("error:")
+    monkeypatch.setenv("FLAGSTRATA_JOBS", "abc")
+    code, _, err = run(capsys, "schur", "1", "0", "0")
+    assert code == 2 and err.startswith("error:")
 
 
 def test_bound_override_warns(capsys):

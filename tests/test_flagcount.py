@@ -1,5 +1,9 @@
 """Exact q-polynomial counts versus brute force over F_2 and F_3."""
 
+import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,10 +157,71 @@ def test_aut_order_poly_degree():
 
 
 def test_aut_order_poly_vs_brute():
-    for size in range(5):
-        for mu in partitions(size):
-            for q in (2, 3):
+    for q, top in ((2, 5), (3, 4)):
+        for size in range(top + 1):
+            for mu in partitions(size):
                 assert fc.aut_order_poly(mu)(q) == fc.count_commutant_units_brute(mu, q)
+
+
+def _units_by_walk(mu, q):
+    """Walk every coefficient vector of the commutant; invertible iff full rank."""
+    n = sum(mu)
+    basis = gf.commutant_basis(fc.jordan_matrix(mu), q)
+    count = 0
+    for coeffs in itertools.product(range(q), repeat=len(basis)):
+        m = [
+            [sum(c * b[i][j] for c, b in zip(coeffs, basis)) % q for j in range(n)]
+            for i in range(n)
+        ]
+        count += len(gf.rref(m, q)) == n
+    return count
+
+
+def test_units_brute_vs_plain_walk():
+    checked = 0
+    for q, top in ((2, 5), (3, 4)):
+        for size in range(1, top + 1):
+            for mu in partitions(size):
+                dim = len(gf.commutant_basis(fc.jordan_matrix(mu), q))
+                if q**dim <= 3**9:
+                    assert fc.count_commutant_units_brute(mu, q) == _units_by_walk(mu, q), (mu, q)
+                    checked += 1
+    assert checked == 24
+
+
+def test_units_brute_general_linear_group():
+    for q, top in ((2, 5), (3, 4)):
+        for n in range(top + 1):
+            order = 1
+            for i in range(n):
+                order *= q**n - q**i
+            assert fc.count_commutant_units_brute((1,) * n, q) == order
+
+
+def test_units_brute_cap():
+    with pytest.raises(ValueError):
+        fc.count_commutant_units_brute((1,) * 5, 3)
+    with pytest.raises(ValueError):
+        fc.count_commutant_units_brute((1,) * 6, 2)
+
+
+def _run_python(code, *flags):
+    src = os.path.dirname(os.path.dirname(fc.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_units_brute_without_numpy():
+    done = _run_python(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from flagstrata import flagcount as fc\n"
+        "print(fc.count_commutant_units_brute((1, 1, 1, 1), 3))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["24261120"]
 
 
 def test_merge_type():
@@ -201,6 +266,24 @@ def test_collided_fiber_mass_leading_counts_interleaved_pairs():
             _, deg, lead = fc.collided_fiber_mass(d, dp)
             assert deg == -dp
             assert lead == pairing_count(d, dp)
+
+
+def test_non_integral_leading_fails_under_optimize():
+    # a mass with leading term 3/2 would truncate to the one pairing of (0, 0)
+    done = _run_python(
+        "from flagstrata import cli, flagcount as fc\n"
+        "fc.fiber_mass = lambda mu, mup: fc.QRat(fc.QPoly((3,)), fc.QPoly((2,)))\n"
+        "print(repr(fc.collided_fiber_mass(0, 0)[2]))\n"
+        "print(cli.main(['fibermass', '0', '0']))\n"
+        "checks = dict(cli._selftest_checks(cli._parse_bounds(['mass_d=0']), 1))\n"
+        "print(checks['collided-mass-degree-and-leading']())\n",
+        "-O",
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "Fraction(3, 2)"
+    assert lines[2].split("\t") == ["0", "0", "0", "3/2", "1", "False"]
+    assert lines[3:] == ["1", "False"]
 
 
 def test_groupoid_dim_check():
