@@ -134,7 +134,13 @@ def cmd_strata(args, bounds):
     if covered != len(pairings):
         ok = False
     rows.append(("pairings", len(pairings), "strata-cover", covered == len(pairings), "-"))
-    characters = st.character_table(d, dp)
+    try:
+        characters = st.character_table(d, dp)
+    except st.ClassFunctionError as exc:
+        ok = False
+        characters = {}
+        witness = [f"{_fmt_vec(sigma)}:{value}" for sigma, value in (exc.first, exc.second)]
+        rows.append(("character-not-class-function", _fmt_vec(exc.ctype), *witness, "-"))
     for ctype, value in sorted(characters.items(), reverse=True):
         rows.append(("character", _fmt_vec(ctype), value, "-", "-"))
     induced_ok = st.verify_induced_realization(d, dp) if d + dp <= 7 else "skipped"

@@ -341,13 +341,7 @@ def count_commutant_units_brute(mu, q: int) -> int:
     complement = [v for v in basis if any(v[:split])]
     kernel = [v[split:] for v in basis if not any(v[:split])]
     minors = _minor_table(n, q)
-    # per top column subset S: the index of its complement's bottom minor and
-    # the Laplace sign, less the factor (-1)^(r(r-1)/2) that all terms share
-    bottom_index = {s: i for i, s in enumerate(combinations(range(n), n - r))}
-    laplace = [
-        (bottom_index[tuple(j for j in range(n) if j not in s)], (-1) ** sum(s))
-        for s in combinations(range(n), r)
-    ]
+    laplace = _laplace_terms(n, r)
     top_bins: dict[tuple, Counter] = defaultdict(Counter)
     for v in _span((0,) * (n * n), complement, q):
         top_bins[v[split:]][minors(_rows(v[:split], n))] += 1
@@ -360,6 +354,21 @@ def count_commutant_units_brute(mu, q: int) -> int:
                 if sum(map(mul, t, b)) % q:
                     count += a * c
     return count
+
+
+def _laplace_terms(n: int, r: int) -> list[tuple[int, int]]:
+    """The generalised Laplace expansion of an n x n determinant along its top r rows.
+
+    One term per r-subset S of columns, in lexicographic order: the index of
+    the complement of S among the (n-r)-subsets, and the sign (-1)^(sum of S).
+    det M = (-1)^(r(r-1)/2) times the sum over S of sign * top minor(S) *
+    bottom minor(complement of S); the shared factor is left out.
+    """
+    bottom_index = {s: i for i, s in enumerate(combinations(range(n), n - r))}
+    return [
+        (bottom_index[tuple(j for j in range(n) if j not in s)], (-1) ** sum(s))
+        for s in combinations(range(n), r)
+    ]
 
 
 def _rows(flat: tuple, n: int) -> gf.Matrix:

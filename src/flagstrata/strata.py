@@ -4,13 +4,22 @@ A pairing splits I = {1..d+d'} into d two-element blocks and d'-d singletons;
 pairings index the irreducible pieces of the stratification and the basis of
 the signed induced representation realized here.  Permutations are tuples p
 of length n with p[i-1] = image of i.
+
+Characters are class functions, so the invariant dimensions and the induced
+character are sums over cycle types weighted by class size, not over all n!
+permutations.  verify_induced_realization (n <= 7) and character_table keep
+the per-permutation sweep as the oracle for them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
+
+from .coweights import partitions
 
 Perm = tuple[int, ...]
 Pairing = tuple[tuple[int, ...], ...]
@@ -228,50 +237,51 @@ def strata_involutions(j_set, jp_set, n: int | None = None) -> list[Involution]:
 # the signed induced representation
 
 
+class ClassFunctionError(Exception):
+    """The pairing trace takes two values on one cycle type."""
+
+    def __init__(self, ctype: tuple[int, ...], first: tuple[Perm, int], second: tuple[Perm, int]):
+        super().__init__(
+            f"character is not a class function on cycle type {ctype}: "
+            f"{first[1]} at {first[0]}, {second[1]} at {second[0]}"
+        )
+        self.ctype = ctype
+        self.first = first
+        self.second = second
+
+
+@lru_cache(maxsize=None)
+def _pairing_arrays(d: int, dp: int) -> tuple:
+    """Each pairing of (d, d') as a 0-based partner array and its list of pairs."""
+    out = []
+    for alpha in enumerate_pairings(d, dp):
+        partner = list(range(d + dp))
+        pairs = []
+        for i, j in pairing_pairs(alpha):
+            partner[i - 1], partner[j - 1] = j - 1, i - 1
+            pairs.append((i - 1, j - 1))
+        out.append((tuple(partner), tuple(pairs)))
+    return tuple(out)
+
+
 def ind_character(sigma: Perm, d: int, dp: int) -> int:
     """Trace of sigma on the signed pairing representation.
 
     The basis is indexed by pairings; sigma fixes a basis line iff it fixes the
-    pairing, and then acts by the product over pairs {i < j} of the orientation
-    sign of the image pair.
+    pairing, that is iff sigma commutes with the pairing's partner map, and
+    then acts by the product over pairs {i < j} of the orientation sign of the
+    image pair.
     """
     if len(sigma) != d + dp:
         raise ValueError(f"permutation has length {len(sigma)}, expected {d + dp}")
+    s = [x - 1 for x in sigma]
     total = 0
-    for alpha in enumerate_pairings(d, dp):
-        if apply_perm_to_pairing(sigma, alpha) != alpha:
+    for partner, pairs in _pairing_arrays(d, dp):
+        if [s[p] for p in partner] != [partner[x] for x in s]:
             continue
-        sign = 1
-        for i, j in pairing_pairs(alpha):
-            if sigma[i - 1] > sigma[j - 1]:
-                sign = -sign
-        total += sign
+        flips = sum(s[i] > s[j] for i, j in pairs)
+        total += -1 if flips % 2 else 1
     return total
-
-
-def _perm_parity(images: list[int]) -> int:
-    """Sign of the permutation sending position i to images[i] (a relabeling)."""
-    order = sorted(range(len(images)), key=lambda k: images[k])
-    sign = 1
-    seen = [False] * len(order)
-    for start in range(len(order)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = order[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _base_pairing(d: int, dp: int) -> Pairing:
-    blocks = [(2 * k + 1, 2 * k + 2) for k in range(d)]
-    blocks += [(i,) for i in range(2 * d + 1, d + dp + 1)]
-    return canonical_pairing(blocks)
 
 
 def perm_of_cycle_type(ctype) -> Perm:
@@ -285,43 +295,70 @@ def perm_of_cycle_type(ctype) -> Perm:
     return tuple(mapping)
 
 
-def _stabilizer_character(sigma: Perm, alpha: Pairing, paired: tuple[int, ...]) -> int | None:
-    """sign x triv character at sigma if sigma stabilizes alpha, else None."""
-    if apply_perm_to_pairing(sigma, alpha) != alpha:
-        return None
-    return _perm_parity([sigma[i - 1] for i in paired])
+def _centralizer_order(ctype: tuple[int, ...]) -> int:
+    """z_lambda = prod over k of k^(m_k) m_k!, with m_k cycles of length k."""
+    z = 1
+    for k, m in Counter(ctype).items():
+        z *= k**m * factorial(m)
+    return z
+
+
+def _exact(num: int, den: int) -> int | Fraction:
+    """num / den: an int when it divides exactly, else a Fraction."""
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 else value
 
 
 @lru_cache(maxsize=None)
-def _induced_character_by_type(ctype: tuple[int, ...], d: int, dp: int) -> int:
-    """Induced character of sign x triv from the pairing stabilizer, per class."""
-    n = d + dp
-    if sum(ctype) != n:
-        raise ValueError(f"cycle type {ctype} does not partition {n}")
-    alpha = _base_pairing(d, dp)
-    paired = tuple(i for block in pairing_pairs(alpha) for i in block)
-    sigma = perm_of_cycle_type(ctype)
+def _stabilizer_class_sums(d: int, dp: int) -> dict[tuple[int, ...], int]:
+    """sign x triv summed over the stabilizer H of the base pairing, by cycle type.
+
+    The base pairing is {1,2}, {3,4}, ..., {2d-1,2d} plus the singletons
+    2d+1..d+d'.  H = (Z/2 wr S_d) x S_{d'-d} permutes the pairs, flips any of
+    them, and permutes the singletons; the character is (-1)^(flips).
+    """
+    if not 0 <= d <= dp:
+        raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
+    sums: Counter = Counter()
+    image = [0] * (d + dp)
+    for order in permutations(range(d)):
+        for flips in product((0, 1), repeat=d):
+            for k, (target, flip) in enumerate(zip(order, flips)):
+                image[2 * k] = 2 * target + 1 + flip
+                image[2 * k + 1] = 2 * target + 2 - flip
+            sign = -1 if sum(flips) % 2 else 1
+            for rest in permutations(range(2 * d + 1, d + dp + 1)):
+                image[2 * d :] = rest
+                sums[cycle_type(image)] += sign
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _induced_character_by_type(ctype: tuple[int, ...], d: int, dp: int) -> int | Fraction:
+    """Induced character of sign x triv from the pairing stabilizer H, per class.
+
+    Frobenius: the value on the class lambda is z_lambda / |H| times the sum
+    of the character over the elements of H of type lambda.  Exact: an int
+    when integral, else a Fraction, which then equals no trace.
+    """
+    if sum(ctype) != d + dp:
+        raise ValueError(f"cycle type {ctype} does not partition {d + dp}")
+    class_sum = _stabilizer_class_sums(d, dp).get(ctype, 0)
     stab_order = 2**d * factorial(d) * factorial(dp - d)
-    total = 0
-    for g in all_perms(n):
-        ginv = [0] * n
-        for i in range(1, n + 1):
-            ginv[g[i - 1] - 1] = i
-        # conjugate (g^{-1} sigma g)(i) = g^{-1}(sigma(g(i)))
-        conj = tuple(ginv[sigma[g[i - 1] - 1] - 1] for i in range(1, n + 1))
-        value = _stabilizer_character(conj, alpha, paired)
-        if value is not None:
-            total += value
-    assert total % stab_order == 0
-    return total // stab_order
+    return _exact(_centralizer_order(ctype) * class_sum, stab_order)
 
 
-def induced_character(sigma: Perm, d: int, dp: int) -> int:
+def induced_character(sigma: Perm, d: int, dp: int) -> int | Fraction:
     return _induced_character_by_type(cycle_type(sigma), d, dp)
 
 
 def verify_induced_realization(d: int, dp: int) -> bool:
-    """Signed pairing character equals the induced character at every permutation."""
+    """Signed pairing character equals the induced character at every permutation.
+
+    This is the per-permutation oracle: the trace is taken on the pairing
+    basis at each sigma, independently of the class sums behind the induced
+    character.
+    """
     if d + dp > 7:
         raise ValueError("full symmetric group sweep capped at degree 7")
     return all(
@@ -330,27 +367,41 @@ def verify_induced_realization(d: int, dp: int) -> bool:
     )
 
 
-def invariants_dim(d: int, dp: int, r: int) -> int:
-    """Dimension of invariants in (signed pairing rep) tensor W^{d+d'}, dim W = r."""
+@lru_cache(maxsize=None)
+def _character_by_type(d: int, dp: int) -> dict[tuple[int, ...], int]:
+    """The pairing trace at one representative of each cycle type."""
+    return {lam: ind_character(perm_of_cycle_type(lam), d, dp) for lam in partitions(d + dp)}
+
+
+def invariants_dim(d: int, dp: int, r: int) -> int | Fraction:
+    """Dimension of invariants in (signed pairing rep) tensor W^{d+d'}, dim W = r.
+
+    A class sum: (1/n!) times the sum over cycle types lambda of n of the
+    class size n!/z_lambda, the character at lambda, and r^(number of cycles).
+    Exact: an int when integral, else a Fraction, which then equals no
+    dimension.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
-    n = d + dp
-    total = 0
-    for sigma in all_perms(n):
-        total += ind_character(sigma, d, dp) * r ** cycle_count(sigma)
-    order = factorial(n)
-    assert total % order == 0
-    return total // order
+    order = factorial(d + dp)
+    total = sum(
+        order // _centralizer_order(lam) * value * r ** len(lam)
+        for lam, value in _character_by_type(d, dp).items()
+    )
+    return _exact(total, order)
 
 
 def character_table(d: int, dp: int) -> dict[tuple[int, ...], int]:
-    """Signed pairing character by cycle type, asserting it is a class function."""
-    table: dict[tuple[int, ...], int] = {}
+    """Signed pairing character by cycle type, checked at every permutation.
+
+    Raises ClassFunctionError when two permutations of one cycle type have
+    different traces.
+    """
+    table: dict[tuple[int, ...], tuple[Perm, int]] = {}
     for sigma in all_perms(d + dp):
         ctype = cycle_type(sigma)
         value = ind_character(sigma, d, dp)
-        if ctype in table:
-            assert table[ctype] == value, "character is not a class function"
-        else:
-            table[ctype] = value
-    return table
+        first = table.setdefault(ctype, (sigma, value))
+        if first[1] != value:
+            raise ClassFunctionError(ctype, first, (sigma, value))
+    return {ctype: value for ctype, (_, value) in table.items()}

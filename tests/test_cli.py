@@ -1,8 +1,20 @@
 """CLI dispatch, output formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 from flagstrata import cli
+
+FAST_BOUNDS = (
+    "--bound", "schur_n=1", "--bound", "schur_d=2", "--bound", "margin_size=3",
+    "--bound", "brute_flag_size=3", "--bound", "brute_aut_size=2",
+    "--bound", "mass_d=2", "--bound", "induced_total=4",
+    "--bound", "orbit_total_q2=3", "--bound", "orbit_total_q3=2",
+    "--bound", "levi_rank=2", "--bound", "levi_bound=1",
+    "--bound", "identity_n=2",
+)
 
 
 def run(capsys, *argv):
@@ -84,6 +96,8 @@ def test_invalid_config_exit_2(capsys, monkeypatch):
     assert run(capsys, "--bound", "brute_aut_size=-1", "selftest")[0] == 2
     code, _, err = run(capsys, "levi", "2", "[1,2]", "1", "1")
     assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, "levi", "0", "[]", "1", "1")
+    assert code == 2 and err.startswith("error: n must be >= 1")
     monkeypatch.setenv("FLAGSTRATA_JOBS", "abc")
     code, _, err = run(capsys, "schur", "1", "0", "0")
     assert code == 2 and err.startswith("error:")
@@ -97,22 +111,54 @@ def test_bound_override_warns(capsys):
 
 def test_verification_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli.sc, "verify_multiplicity_free", lambda *a: False)
-    code, out, _ = run(capsys, "--bound", "schur_d=1", "selftest")
+    code, out, _ = run(capsys, *FAST_BOUNDS, "selftest")
     assert code == 1
     assert "schur-multiplicity-free\tFAIL" in out
 
 
 def test_selftest_fast_bounds(capsys):
-    code, out, _ = run(
-        capsys,
-        "--bound", "schur_n=1", "--bound", "schur_d=2", "--bound", "margin_size=3",
-        "--bound", "brute_flag_size=3", "--bound", "brute_aut_size=2",
-        "--bound", "mass_d=2", "--bound", "induced_total=4",
-        "--bound", "orbit_total_q2=3", "--bound", "orbit_total_q3=2",
-        "--bound", "levi_rank=2", "--bound", "levi_bound=1",
-        "--bound", "identity_n=2",
-        "selftest",
-    )
+    code, out, _ = run(capsys, *FAST_BOUNDS, "selftest")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 10 and all(line.endswith("PASS") for line in lines[1:])
+
+
+PATCHED_UNDER_OPTIMIZE = """
+from flagstrata import cli, levi as lv, strata as st
+real_character, real_pairing = st.ind_character, lv.pairing
+# a trace that differs inside one cycle type
+st.ind_character = lambda sigma, d, dp: sigma[0]
+st.verify_induced_realization = lambda d, dp: True
+print(cli.main(["strata", "1", "2"]))
+# one more at the identity: the invariant dimension of (1, 1) at r = 1 becomes 1/2
+st.ind_character = lambda sigma, d, dp: real_character(sigma, d, dp) + (sigma == tuple(sorted(sigma)))
+print(repr(st.invariants_dim(1, 1, 1)))
+checks = dict(cli._selftest_checks(cli._parse_bounds(["induced_total=2", "invariants_r=1"]), 1))
+print(checks["induced-character-and-invariants"]())
+# a stabilizer class sum that makes the induced character 1/2 on the 4-cycles
+st._stabilizer_class_sums = lambda d, dp: {(4,): 1}
+print(repr(st.induced_character((2, 3, 4, 1), 2, 2)))
+# the two arrangements of the Levi bound disagree where it is strict
+lv.f_val = lambda mu, levi: -10**6
+lv.pairing = lambda a, b: -real_pairing(a, b)
+print(cli.main(["levi", "2", "[[1],[2]]", "1", "1"]))
+"""
+
+
+def test_patched_values_fail_under_optimize():
+    # with asserts stripped, each patched value must still fail its check
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", PATCHED_UNDER_OPTIMIZE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "character-not-class-function\t2,1\t1,3,2:1\t2,1,3:2\t-" in lines
+    assert lines[lines.index("induced-model-match\tTrue\t-\t-\t-") + 1 :][:4] == [
+        "1", "Fraction(1, 2)", "False", "Fraction(1, 2)",
+    ]
+    assert lines[-5].split("\t") == ["[[1],[2]]", "True", "12", "0", "3", "False"]
+    assert lines[-1] == "1"

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -203,6 +204,41 @@ def test_units_brute_cap():
         fc.count_commutant_units_brute((1,) * 5, 3)
     with pytest.raises(ValueError):
         fc.count_commutant_units_brute((1,) * 6, 2)
+
+
+def _det(m):
+    """Determinant by plain cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _laplace_sums(m, q):
+    """(signed, unsigned) sum over top column subsets of top minor * bottom minor, mod q."""
+    n = len(m)
+    r = (n + 1) // 2
+    minors = fc._minor_table(n, q)
+    top, bottom = minors(tuple(m[:r])), minors(tuple(m[r:]))
+    terms = [(top[s], bottom[i], sign) for s, (i, sign) in enumerate(fc._laplace_terms(n, r))]
+    signed = sum(sign * t * b for t, b, sign in terms) % q
+    unsigned = sum(t * b for t, b, _ in terms) % q
+    return signed, unsigned
+
+
+def test_laplace_signs_give_determinant():
+    rng = random.Random(7)
+    for q in (3, 5):
+        # all ones: det 0, but the unsigned sum of top * bottom minors is 2 mod q
+        assert _laplace_sums(((1, 1), (1, 1)), q) == (0, 2)
+        for n in range(1, 6):
+            r = (n + 1) // 2
+            for _ in range(20):
+                m = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+                signed, _ = _laplace_sums(m, q)
+                assert signed == (-1) ** (r * (r - 1) // 2) * _det(m) % q, (m, q)
 
 
 def _run_python(code, *flags):

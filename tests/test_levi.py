@@ -171,3 +171,45 @@ def test_sweep_parallel_matches_serial():
     assert serial["pairs_checked"] == parallel["pairs_checked"]
     assert serial["equalities"] == parallel["equalities"]
     assert serial["failures"] == parallel["failures"]
+
+
+def test_sweep_jobs_clamped(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    for cpus, levi, jobs, pools in [
+        (4, INTER4, 1000, [4]),  # 81 lams: the CPU count binds
+        (64, TORUS2, 1000, [9]),  # 9 lams: their number binds
+        (None, INTER4, 8, []),  # unknown CPU count: one process, no pool
+    ]:
+        serial = lv.sweep_inequality(levi, 1, 1, jobs=1)
+        monkeypatch.setattr(lv.os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        res = lv.sweep_inequality(levi, 1, 1, jobs=jobs)
+        assert sizes == pools
+        assert res["pairs_checked"] == serial["pairs_checked"]
+        assert res["equalities"] == serial["equalities"]
+        assert res["failures"] == serial["failures"]
+
+
+def test_rearrangement_mismatch_fails_with_witness(monkeypatch):
+    monkeypatch.setattr(lv, "f_val", lambda mu, levi: 10**6)
+    report = lv.verify_inequality((-1, 0), (0, -1), TORUS2)
+    assert not report["holds"]
+    assert [w["kind"] for w in report["witnesses"]] == ["mismatch"]
+    assert report["witnesses"][0]["mu"] == (-1, 0)

@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 
 from flagstrata import strata as st
+from flagstrata.coweights import partitions
 
 
 def test_involution_basics():
@@ -95,7 +96,7 @@ def test_ind_character_examples():
 
 def test_ind_character_is_class_function():
     for d, dp in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]:
-        st.character_table(d, dp)  # asserts constancy internally
+        st.character_table(d, dp)  # raises ClassFunctionError otherwise
 
 
 def test_character_table_values():
@@ -115,9 +116,30 @@ def test_invariants_dim_examples():
     assert st.invariants_dim(1, 2, 2) == 2
 
 
+def _invariants_dim_by_permutation(d, dp, r_values):
+    """Slow oracle: average the trace times r^(cycles) over all of S_{d+d'}."""
+    totals = dict.fromkeys(r_values, 0)
+    for sigma in st.all_perms(d + dp):
+        value = st.ind_character(sigma, d, dp)
+        cycles = st.cycle_count(sigma)
+        for r in r_values:
+            totals[r] += value * r**cycles
+    order = factorial(d + dp)
+    assert all(total % order == 0 for total in totals.values())
+    return {r: total // order for r, total in totals.items()}
+
+
+def test_invariants_dim_vs_permutation_sum():
+    for total in range(7):
+        for d in range(total // 2 + 1):
+            slow = _invariants_dim_by_permutation(d, total - d, range(1, 5))
+            assert {r: st.invariants_dim(d, total - d, r) for r in slow} == slow
+
+
 def test_invariants_dim_closed_form():
+    # class sums reach d + d' = 10, where S_10 has 3.6 million permutations
     for r in range(1, 5):
-        for total in range(7):
+        for total in range(11):
             for d in range(total // 2 + 1):
                 dp = total - d
                 expected = (comb(comb(r, 2) + d - 1, d) if d else 1) * (
@@ -138,3 +160,53 @@ def test_stabilizer_order_divides():
         n = d + dp
         index = factorial(n) // (2**d * factorial(d) * factorial(dp - d))
         assert st.induced_character(st.identity_perm(n), d, dp) == index
+
+
+def _sign_of_relabeling(images):
+    """Sign of the permutation sending position k to the rank of images[k]."""
+    order = sorted(range(len(images)), key=lambda k: images[k])
+    sign = 1
+    seen = [False] * len(order)
+    for start in range(len(order)):
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _induced_character_by_conjugation(ctype, d, dp):
+    """Slow oracle: (1/|H|) times the sum over g in S_n of sign x triv at g^-1 sigma g.
+
+    H is the stabilizer of the base pairing {1,2}, ..., {2d-1,2d}; the term is
+    zero unless the conjugate stabilizes it, and then it is the sign of the
+    conjugate on the paired points.
+    """
+    n = d + dp
+    alpha = st.canonical_pairing(
+        [(2 * k + 1, 2 * k + 2) for k in range(d)] + [(i,) for i in range(2 * d + 1, n + 1)]
+    )
+    sigma = st.perm_of_cycle_type(ctype)
+    total = 0
+    for g in st.all_perms(n):
+        ginv = [0] * n
+        for i in range(1, n + 1):
+            ginv[g[i - 1] - 1] = i
+        conj = tuple(ginv[sigma[g[i - 1] - 1] - 1] for i in range(1, n + 1))
+        if st.apply_perm_to_pairing(conj, alpha) == alpha:
+            total += _sign_of_relabeling([conj[i - 1] for i in range(1, 2 * d + 1)])
+    stab_order = 2**d * factorial(d) * factorial(dp - d)
+    assert total % stab_order == 0
+    return total // stab_order
+
+
+def test_induced_character_vs_conjugation_sum():
+    for n in range(8):
+        for d in range(n // 2 + 1):
+            for ctype in partitions(n):
+                fast = st.induced_character(st.perm_of_cycle_type(ctype), d, n - d)
+                assert fast == _induced_character_by_conjugation(ctype, d, n - d), (ctype, d)
