@@ -1,0 +1,171 @@
+"""The acceptance battery: one ordered registry of the paper's exact criteria.
+
+Each entry holds a name, a runtime budget in seconds at DEFAULT_BOUNDS, and a
+sweep run(bounds, jobs).  A sweep returns None when every cell passes, else
+the loop values of the first failing cell.  `flagstrata selftest` and
+tests/test_acceptance.py both iterate CHECKS, so they run the same battery.
+"""
+
+from __future__ import annotations
+
+from math import comb
+from typing import Callable, NamedTuple
+
+from . import coweights as cw
+from . import flagcount as fc
+from . import levi as lv
+from . import orbits as ob
+from . import schur as sc
+from . import strata as st
+
+DEFAULT_BOUNDS = {
+    "schur_n": 3,
+    "schur_d": 4,
+    "margin_size": 5,
+    "brute_flag_size": 5,
+    "brute_aut_size": 4,
+    "mass_d": 4,
+    "induced_total": 6,
+    "invariants_r": 4,
+    "orbit_total_q2": 4,
+    "orbit_total_q3": 3,
+    "levi_rank": 4,
+    "levi_bound": 2,
+    "identity_n": 4,
+}
+
+
+class Check(NamedTuple):
+    name: str
+    budget: float
+    run: Callable[[dict, int], tuple | None]
+
+
+def _schur_sweep(bounds, jobs):
+    for n in range(1, bounds["schur_n"] + 1):
+        for d in range(bounds["schur_d"] + 1):
+            for dp in range(d, bounds["schur_d"] + 1):
+                if not sc.verify_multiplicity_free(n, d, dp):
+                    return n, d, dp
+    return None
+
+
+def _margin_sweep(bounds, jobs):
+    """Margin <= 0, zero exactly when interleaved, three ways; mass degree = margin - |mu'|."""
+    top = bounds["margin_size"]
+    for dd in range(top + 1):
+        for pp in range(top + 1):
+            for mu in cw.partitions(dd):
+                for mup in cw.partitions(pp):
+                    margin, equal = cw.flag_mass_margin(mu, mup)
+                    _, _, gap = cw.special_transposition_chain(
+                        cw.interleave(mu, mup, max(len(mu), len(mup), 1))
+                    )
+                    if margin > 0 or equal != cw.is_interleaved(mu, mup) or equal != (gap == 0):
+                        return mu, mup
+                    if fc.fiber_mass(mu, mup).degree != margin - pp:
+                        return mu, mup
+    return None
+
+
+def _brute_count_sweep(bounds, jobs):
+    for size in range(bounds["brute_flag_size"] + 1):
+        for mu in cw.partitions(size):
+            if fc.count_flags_poly(mu)(2) != fc.count_flags_brute(mu, 2):
+                return "flags", mu, 2
+    for size in range(bounds["brute_aut_size"] + 1):
+        for mu in cw.partitions(size):
+            for q in (2, 3):
+                if fc.aut_order_poly(mu)(q) != fc.count_commutant_units_brute(mu, q):
+                    return "units", mu, q
+    return None
+
+
+def _mass_sweep(bounds, jobs):
+    for d in range(bounds["mass_d"] + 1):
+        for dp in range(d, bounds["mass_d"] + 1):
+            _, deg, lead = fc.collided_fiber_mass(d, dp)
+            if deg != -dp or lead != st.pairing_count(d, dp):
+                return d, dp
+    return None
+
+
+def _strata_vectors(bounds, jobs):
+    disjoint = sorted((j, jp) for j, jp, flag in st.enumerate_c_pairs(2, 2) if flag)
+    if disjoint != [((1, 2), (3, 4)), ((1, 3), (2, 4))]:
+        return 2, 2
+    for j, jp, want in [
+        ((1, 3), (2, 4), ["(1 2)(3 4)"]),
+        ((1, 2), (3, 4), ["(1 3)(2 4)", "(1 4)(2 3)"]),
+    ]:
+        if sorted(w.cycle_notation() for w in st.strata_involutions(j, jp, 4)) != want:
+            return j, jp
+    return None
+
+
+def _induced_sweep(bounds, jobs):
+    for total in range(bounds["induced_total"] + 1):
+        for d in range(total // 2 + 1):
+            dp = total - d
+            if not st.verify_induced_realization(d, dp):
+                return d, dp
+            for r in range(1, bounds["invariants_r"] + 1):
+                want = (comb(comb(r, 2) + d - 1, d) if d else 1) * (
+                    comb(r + dp - d - 1, dp - d) if dp > d else 1
+                )
+                if st.invariants_dim(d, dp, r) != want:
+                    return d, dp, r
+    return None
+
+
+def _orbit_sweep(bounds, jobs):
+    for q, cap_key in ((2, "orbit_total_q2"), (3, "orbit_total_q3")):
+        for total in range(bounds[cap_key] + 1):
+            for d in range(total // 2 + 1):
+                if not ob.verify_counts(d, total - d, q):
+                    return d, total - d, q
+    return None
+
+
+def _levi_sweep(bounds, jobs):
+    """The bound, its equality configuration and its converse on every antistandard Levi."""
+    for n in range(1, bounds["levi_rank"] + 1):
+        for levi in lv.antistandard_levis(n):
+            res = lv.sweep_inequality(levi, bounds["levi_bound"], bounds["levi_bound"], jobs=jobs)
+            if res["failures"]:
+                lam, nu, _ = res["failures"][0]
+                return str(levi), lam, nu
+    return None
+
+
+def _identity_audit(bounds, jobs):
+    for n in range(1, bounds["identity_n"] + 1):
+        for d in range(6):
+            for dp in range(6):
+                for g in range(4):
+                    if not cw.fibration_dim_identity(n, d, dp, g)[2]:
+                        return "fibration", n, d, dp, g
+    for n in (2, 4, 6, 8):
+        for r in range(6):
+            for g in range(4):
+                if cw.flag_bundle_dim(n, r, g) != cw.flag_bundle_dim_even(n, r, g):
+                    return "flag-bundle", n, r, g
+    for n in range(1, 4):
+        for d in range(5):
+            for dp in range(d, 5):
+                if not sc.verify_index_reversal(n, d, dp):
+                    return "index-reversal", n, d, dp
+    return None
+
+
+CHECKS = [
+    Check("schur-multiplicity-free", 60, _schur_sweep),
+    Check("flag-mass-margins", 10, _margin_sweep),
+    Check("flag-count-recursion-vs-brute", 120, _brute_count_sweep),
+    Check("collided-mass-degree-and-leading", 30, _mass_sweep),
+    Check("strata-test-vectors", 1, _strata_vectors),
+    Check("induced-character-and-invariants", 60, _induced_sweep),
+    Check("orbit-counts-vs-classifying-pairs", 60, _orbit_sweep),
+    Check("levi-pairing-gap-bound", 300, _levi_sweep),
+    Check("dimension-identity-audits", 5, _identity_audit),
+]

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from math import comb
 
 from . import coweights as cw
 from . import flagcount as fc
@@ -20,22 +19,7 @@ from . import levi as lv
 from . import orbits as ob
 from . import schur as sc
 from . import strata as st
-
-DEFAULT_BOUNDS = {
-    "schur_n": 3,
-    "schur_d": 4,
-    "margin_size": 5,
-    "brute_flag_size": 5,
-    "brute_aut_size": 4,
-    "mass_d": 4,
-    "induced_total": 6,
-    "invariants_r": 4,
-    "orbit_total_q2": 4,
-    "orbit_total_q3": 3,
-    "levi_rank": 4,
-    "levi_bound": 2,
-    "identity_n": 4,
-}
+from .checks import CHECKS, DEFAULT_BOUNDS
 
 
 class ConfigError(Exception):
@@ -256,129 +240,15 @@ def cmd_levi(args, bounds):
 # selftest
 
 
-def _selftest_checks(bounds, jobs):
-    """Yield (name, callable) pairs covering the whole acceptance battery."""
-
-    def schur_sweep():
-        for n in range(1, bounds["schur_n"] + 1):
-            for d in range(0, bounds["schur_d"] + 1):
-                for dp in range(d, bounds["schur_d"] + 1):
-                    if not sc.verify_multiplicity_free(n, d, dp):
-                        return False
-        return True
-
-    def margin_sweep():
-        top = bounds["margin_size"]
-        for dd in range(top + 1):
-            for pp in range(top + 1):
-                for mu in cw.partitions(dd):
-                    for mup in cw.partitions(pp):
-                        margin, equal = cw.flag_mass_margin(mu, mup)
-                        _, _, gap = cw.special_transposition_chain(
-                            cw.interleave(mu, mup, max(len(mu), len(mup), 1))
-                        )
-                        if margin > 0 or equal != cw.is_interleaved(mu, mup):
-                            return False
-                        if equal != (gap == 0):
-                            return False
-                        if fc.fiber_mass(mu, mup).degree != margin - pp:
-                            return False
-        return True
-
-    def brute_flag_sweep():
-        for size in range(bounds["brute_flag_size"] + 1):
-            for mu in cw.partitions(size):
-                if fc.count_flags_poly(mu)(2) != fc.count_flags_brute(mu, 2):
-                    return False
-        for size in range(bounds["brute_aut_size"] + 1):
-            for mu in cw.partitions(size):
-                for q in (2, 3):
-                    if fc.aut_order_poly(mu)(q) != fc.count_commutant_units_brute(mu, q):
-                        return False
-        return True
-
-    def mass_sweep():
-        for d in range(bounds["mass_d"] + 1):
-            for dp in range(d, bounds["mass_d"] + 1):
-                _, deg, lead = fc.collided_fiber_mass(d, dp)
-                if deg != -dp or lead != st.pairing_count(d, dp):
-                    return False
-        return True
-
-    def strata_vectors():
-        pairs22 = st.enumerate_c_pairs(2, 2)
-        disjoint = sorted((j, jp) for j, jp, flag in pairs22 if flag)
-        if disjoint != [((1, 2), (3, 4)), ((1, 3), (2, 4))]:
-            return False
-        one = [w.cycle_notation() for w in st.strata_involutions((1, 3), (2, 4), 4)]
-        two = sorted(w.cycle_notation() for w in st.strata_involutions((1, 2), (3, 4), 4))
-        return one == ["(1 2)(3 4)"] and two == ["(1 3)(2 4)", "(1 4)(2 3)"]
-
-    def induced_sweep():
-        for total in range(bounds["induced_total"] + 1):
-            for d in range(total // 2 + 1):
-                dp = total - d
-                if not st.verify_induced_realization(d, dp):
-                    return False
-                for r in range(1, bounds["invariants_r"] + 1):
-                    got = st.invariants_dim(d, dp, r)
-                    want = (comb(comb(r, 2) + d - 1, d) if d else 1) * (
-                        comb(r + dp - d - 1, dp - d) if dp > d else 1
-                    )
-                    if got != want:
-                        return False
-        return True
-
-    def orbit_sweep():
-        for q, cap_key in ((2, "orbit_total_q2"), (3, "orbit_total_q3")):
-            for total in range(bounds[cap_key] + 1):
-                for d in range(total // 2 + 1):
-                    if not ob.verify_counts(d, total - d, q):
-                        return False
-        return True
-
-    def levi_sweep():
-        for n in range(1, bounds["levi_rank"] + 1):
-            for levi in lv.antistandard_levis(n):
-                res = lv.sweep_inequality(
-                    levi, bounds["levi_bound"], bounds["levi_bound"], jobs=jobs
-                )
-                if not res["holds"]:
-                    return False
-        return True
-
-    def identity_audit():
-        for n in range(1, bounds["identity_n"] + 1):
-            for d in range(6):
-                for dp in range(6):
-                    for g in range(4):
-                        if not cw.fibration_dim_identity(n, d, dp, g)[2]:
-                            return False
-        for n in range(1, 4):
-            for d in range(0, 5):
-                for dp in range(d, 5):
-                    if not sc.verify_index_reversal(n, d, dp):
-                        return False
-        return True
-
-    yield "schur-multiplicity-free", schur_sweep
-    yield "flag-mass-margins", margin_sweep
-    yield "flag-count-recursion-vs-brute", brute_flag_sweep
-    yield "collided-mass-degree-and-leading", mass_sweep
-    yield "strata-test-vectors", strata_vectors
-    yield "induced-character-and-invariants", induced_sweep
-    yield "orbit-counts-vs-classifying-pairs", orbit_sweep
-    yield "levi-pairing-gap-bound", levi_sweep
-    yield "dimension-identity-audits", identity_audit
-
-
 def cmd_selftest(args, bounds):
     rows = []
     ok = True
-    for name, check in _selftest_checks(bounds, args.jobs):
-        passed = bool(check())
-        ok = ok and passed
-        rows.append((name, "PASS" if passed else "FAIL"))
+    for check in CHECKS:
+        witness = check.run(bounds, args.jobs)
+        if witness is not None:
+            ok = False
+            print(f"{check.name}: first failing cell {witness}", file=sys.stderr)
+        rows.append((check.name, "PASS" if witness is None else "FAIL"))
     return ("check", "status"), rows, ok, None
 
 

@@ -219,10 +219,7 @@ def flag_bundle_dim(n: int, r: int, g: int) -> int:
         raise ValueError("n must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    value = n * r + (1 - g) * sum(i * i for i in range(1, n))
-    if n % 2 == 0:
-        assert value == flag_bundle_dim_even(n, r, g)
-    return value
+    return n * r + (1 - g) * sum(i * i for i in range(1, n))
 
 
 def flag_bundle_dim_even(n: int, r: int, g: int) -> int:

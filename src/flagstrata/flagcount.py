@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
 from operator import mul
 
@@ -249,39 +249,28 @@ def count_flags_poly(mu) -> QPoly:
     mu = as_partition(mu)
     if not mu:
         return ONE
-    groups: list[tuple[int, int]] = []
-    for part in mu:
-        if groups and groups[-1][0] == part:
-            groups[-1] = (part, groups[-1][1] + 1)
-        else:
-            groups.append((part, 1))
     total = QPoly()
-    prefix = 0
-    for value, mult in groups:
-        weight = QPoly.q_power(prefix) * QPoly.geometric(mult)
+    for (value, mult), weight in zip(_value_groups(mu), corner_weights(mu)):
         peeled = list(mu)
         peeled[peeled.index(value) + mult - 1] -= 1
         child = as_partition(sorted(peeled, reverse=True))
         total = total + weight * count_flags_poly(child)
-        prefix += mult
     return total
 
 
 def corner_weights(mu) -> list[QPoly]:
     """The per-corner counting polynomials; they sum to geometric(#parts)."""
-    mu = as_partition(mu)
-    groups: list[tuple[int, int]] = []
-    for part in mu:
-        if groups and groups[-1][0] == part:
-            groups[-1] = (part, groups[-1][1] + 1)
-        else:
-            groups.append((part, 1))
     out = []
     prefix = 0
-    for _, mult in groups:
+    for _, mult in _value_groups(as_partition(mu)):
         out.append(QPoly.q_power(prefix) * QPoly.geometric(mult))
         prefix += mult
     return out
+
+
+def _value_groups(mu) -> list[tuple[int, int]]:
+    """(value, multiplicity) of each run of equal parts of a partition."""
+    return [(value, len(list(run))) for value, run in groupby(mu)]
 
 
 @lru_cache(maxsize=None)
@@ -298,17 +287,10 @@ def aut_order_poly(mu) -> QPoly:
     conj = conjugate(mu)
     exponent = sum(c * c for c in conj)
     poly = ONE
-    mult = 0
-    prev = None
-    for part in mu + (None,):
-        if part == prev:
-            mult += 1
-            continue
-        if prev is not None:
-            for k in range(1, mult + 1):
-                poly = poly * (QPoly.q_power(k) - ONE)
-                exponent -= k
-        prev, mult = part, 1
+    for _, mult in _value_groups(mu):
+        for k in range(1, mult + 1):
+            poly = poly * (QPoly.q_power(k) - ONE)
+            exponent -= k
     assert exponent >= 0
     return QPoly.q_power(exponent) * poly
 

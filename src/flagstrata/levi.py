@@ -256,13 +256,17 @@ def verify_inequality(lam: Vec, nu: Vec, levi: BlockLevi) -> dict:
     of its equivalent arrangements; a mu where the two disagree fails the
     check with a "mismatch" witness.  For an antistandard Levi, equality must
     pin down the configuration: lam antidominant, mu the blockwise reversal
-    of lam, and the dominant sort of mu the full reversal of lam.
+    of lam, and the dominant sort of mu the full reversal of lam.  Conversely,
+    when lam is antidominant and its blockwise reversal lies in the squeeze
+    set, the bound must be attained there; otherwise a "converse" witness
+    fails the check.
     """
     rho_gap = tuple(a - b for a, b in zip(two_rho(levi.n), two_rho_levi(levi)))
     rhs = pairing(lam, rho_gap)
     rho_m = two_rho_levi(levi)
     rho = two_rho(levi.n)
     antistandard = is_antistandard(levi)
+    mu_star = w0_m(lam, levi) if antistandard and weakly_increasing(lam) else None
     holds = True
     witnesses = []
     for mu in j_set(lam, nu, levi):
@@ -283,6 +287,12 @@ def verify_inequality(lam: Vec, nu: Vec, levi: BlockLevi) -> dict:
                     "rhs": rhs,
                     "kind": "mismatch" if first != second else "violation",
                 }
+            )
+            continue
+        if mu == mu_star and value != rhs:
+            holds = False
+            witnesses.append(
+                {"mu": mu, "mu_dom": mu_dom, "f": value, "rhs": rhs, "kind": "converse"}
             )
             continue
         if value == rhs:
@@ -310,19 +320,11 @@ def verify_inequality(lam: Vec, nu: Vec, levi: BlockLevi) -> dict:
     return {"holds": holds, "antistandard": antistandard, "witnesses": witnesses}
 
 
-def _dominant_box(n: int, bound: int) -> list[Vec]:
-    return [
-        nu
-        for nu in product(range(bound, -bound - 1, -1), repeat=n)
-        if weakly_decreasing(nu)
-    ]
-
-
 def _sweep_chunk(payload) -> tuple[int, list, list]:
     n, blocks, lams, nu_bound = payload
     levi = BlockLevi(n, blocks)
     by_sum: dict[int, list[Vec]] = {}
-    for nu in _dominant_box(n, nu_bound):
+    for nu in _decreasing_tuples(n, -nu_bound, nu_bound):
         by_sum.setdefault(sum(nu), []).append(nu)
     total = 0
     equalities = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import gf
-from .strata import Involution
+from .strata import Involution, enumerate_pairings, pairing_to_involution
 
 Flag = tuple[gf.Matrix, ...]
 
@@ -21,50 +21,33 @@ ORBIT_LIMIT = {2: 4, 3: 3}
 def enumerate_involutions(n: int, max_pairs: int | None = None) -> list[Involution]:
     """All involutions of {1..n} with at most max_pairs two-cycles."""
     cap = n // 2 if max_pairs is None else min(max_pairs, n // 2)
-    out: list[Involution] = []
-
-    def build(free: tuple[int, ...], pairs_left: int, acc):
-        if not free:
-            mapping = list(range(1, n + 1))
-            for a, b in acc:
-                mapping[a - 1], mapping[b - 1] = b, a
-            out.append(Involution(mapping))
-            return
-        head, rest = free[0], free[1:]
-        build(rest, pairs_left, acc)
-        if pairs_left:
-            for k, partner in enumerate(rest):
-                build(rest[:k] + rest[k + 1 :], pairs_left - 1, acc + [(head, partner)])
-
-    build(tuple(range(1, n + 1)), cap, [])
-    return sorted(out)
+    return sorted(
+        pairing_to_involution(alpha, n)
+        for k in range(cap + 1)
+        for alpha in enumerate_pairings(k, n - k)
+    )
 
 
 def classifying_pairs(d: int, dp: int) -> list[tuple[Involution, tuple[int, ...]]]:
     """All (w, J) with |J| = d, Hi(w) inside J and Lo(w) disjoint from J."""
-    n = d + dp
-    out = []
-    for w in enumerate_involutions(n, max_pairs=min(d, dp)):
-        hi, lo = w.hi, w.lo
-        if len(hi) > d:
-            continue
-        room = sorted(set(range(1, n + 1)) - hi - lo)
-        for extra in combinations(room, d - len(hi)):
-            out.append((w, tuple(sorted(hi | set(extra)))))
-    return sorted(out, key=lambda p: (p[0].mapping, p[1]))
+    return _pairs_with_inside(d, dp, hi_inside=True)
 
 
 def dual_classifying_pairs(d: int, dp: int) -> list[tuple[Involution, tuple[int, ...]]]:
     """All (w, J) with |J| = d, Lo(w) inside J and Hi(w) disjoint from J."""
+    return _pairs_with_inside(d, dp, hi_inside=False)
+
+
+def _pairs_with_inside(d: int, dp: int, hi_inside: bool) -> list[tuple[Involution, tuple[int, ...]]]:
     n = d + dp
     out = []
     for w in enumerate_involutions(n, max_pairs=min(d, dp)):
-        hi, lo = w.hi, w.lo
-        if len(lo) > d:
+        inside, outside = (w.hi, w.lo) if hi_inside else (w.lo, w.hi)
+        if len(inside) > d:
             continue
-        room = sorted(set(range(1, n + 1)) - hi - lo)
-        for extra in combinations(room, d - len(lo)):
-            out.append((w, tuple(sorted(lo | set(extra)))))
+        room = sorted(set(range(1, n + 1)) - inside - outside)
+        for extra in combinations(room, d - len(inside)):
+            out.append((w, tuple(sorted(inside | set(extra)))))
     return sorted(out, key=lambda p: (p[0].mapping, p[1]))
 
 

@@ -1,172 +1,40 @@
-"""Acceptance battery: every verification criterion at its contracted size.
+"""Acceptance battery: every entry of flagstrata.checks at its default bounds.
 
-Each test prints one PASS/FAIL line (visible under pytest -s) and asserts
-exact integer equality at the stated sweep bounds, plus the runtime budget.
-Run the same battery from the CLI with `flagstrata selftest`.
+Each test runs one registry entry, prints one ACCEPTANCE line (visible under
+pytest -s), and asserts that no cell fails and that the run stays inside the
+entry's budget.  `flagstrata selftest` iterates the same registry.
 """
 
 import time
-from math import comb
 
-from flagstrata import coweights as cw
-from flagstrata import flagcount as fc
-from flagstrata import levi as lv
-from flagstrata import orbits as ob
-from flagstrata import schur as sc
-from flagstrata import strata as st
+from flagstrata import checks
 
-
-def _report(number, name, ok, started, budget):
-    elapsed = time.time() - started
-    status = "PASS" if ok and elapsed < budget else "FAIL"
-    print(f"ACCEPTANCE {number} {name}: {status} ({elapsed:.1f}s, budget {budget}s)")
-    assert ok, f"criterion {number} ({name}) failed"
-    assert elapsed < budget, f"criterion {number} over budget: {elapsed:.1f}s"
-
-
-def test_criterion_1_multiplicity_free_decomposition():
-    started = time.time()
-    ok = True
-    for n in (1, 2, 3):
-        for d in range(5):
-            for dp in range(d, 5):
-                ok = ok and sc.verify_multiplicity_free(n, d, dp)
-    _report(1, "schur-multiplicity-free", ok, started, 60)
+# one test per registry entry, in registry order, under stable test ids
+TEST_NAMES = (
+    "test_criterion_1_multiplicity_free_decomposition",
+    "test_criterion_2_margin_exhaustive",
+    "test_criterion_3_count_recursions_vs_brute",
+    "test_criterion_4_collided_mass_shadow",
+    "test_criterion_5_strata_test_vectors",
+    "test_criterion_6_induced_structure",
+    "test_criterion_7_orbit_counts",
+    "test_criterion_8_levi_inequality_exhaustive",
+    "test_criterion_9_identity_audits",
+)
 
 
-def test_criterion_2_margin_exhaustive():
-    started = time.time()
-    ok = True
-    shapes = [mu for size in range(6) for mu in cw.partitions(size)]
-    for mu in shapes:
-        for mup in shapes:
-            margin, equal = cw.flag_mass_margin(mu, mup)
-            interleaved = cw.is_interleaved(mu, mup)
-            m = max(len(mu), len(mup), 1)
-            _, _, gap = cw.special_transposition_chain(cw.interleave(mu, mup, m))
-            mass_deg = fc.fiber_mass(mu, mup).degree
-            ok = ok and margin <= 0
-            ok = ok and equal == interleaved == (gap == 0)
-            ok = ok and mass_deg == margin - sum(mup) and mass_deg <= -sum(mup)
-    _report(2, "flag-mass-margins-three-ways", ok, started, 10)
+def _acceptance_test(number, check):
+    def test():
+        started = time.perf_counter()
+        witness = check.run(checks.DEFAULT_BOUNDS, 1)
+        elapsed = time.perf_counter() - started
+        status = "PASS" if witness is None and elapsed < check.budget else "FAIL"
+        print(f"ACCEPTANCE {number} {check.name}: {status} ({elapsed:.1f}s, budget {check.budget}s)")
+        assert witness is None, f"{check.name} fails at {witness}"
+        assert elapsed < check.budget, f"{check.name} over budget: {elapsed:.1f}s"
+
+    return test
 
 
-def test_criterion_3_count_recursions_vs_brute():
-    started = time.time()
-    ok = True
-    for size in range(6):
-        for mu in cw.partitions(size):
-            ok = ok and fc.count_flags_poly(mu)(2) == fc.count_flags_brute(mu, 2)
-    for size in range(5):
-        for mu in cw.partitions(size):
-            for q in (2, 3):
-                ok = ok and fc.aut_order_poly(mu)(q) == fc.count_commutant_units_brute(mu, q)
-    _report(3, "flag-count-recursion-vs-brute", ok, started, 120)
-
-
-def test_criterion_4_collided_mass_shadow():
-    started = time.time()
-    ok = True
-    for d in range(5):
-        for dp in range(d, 5):
-            _, deg, lead = fc.collided_fiber_mass(d, dp)
-            ok = ok and deg == -dp and lead == st.pairing_count(d, dp)
-    _report(4, "collided-mass-degree-and-leading", ok, started, 30)
-
-
-def test_criterion_5_strata_test_vectors():
-    started = time.time()
-    disjoint = sorted(
-        (j, jp) for j, jp, flag in st.enumerate_c_pairs(2, 2) if flag
-    )
-    ok = disjoint == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
-    ok = ok and [
-        w.cycle_notation() for w in st.strata_involutions((1, 3), (2, 4), 4)
-    ] == ["(1 2)(3 4)"]
-    ok = ok and sorted(
-        w.cycle_notation() for w in st.strata_involutions((1, 2), (3, 4), 4)
-    ) == ["(1 3)(2 4)", "(1 4)(2 3)"]
-    _report(5, "strata-test-vectors", ok, started, 1)
-
-
-def test_criterion_6_induced_structure():
-    started = time.time()
-    ok = True
-    for total in range(7):
-        for d in range(total // 2 + 1):
-            dp = total - d
-            ok = ok and st.verify_induced_realization(d, dp)
-            for r in range(1, 5):
-                expected = (comb(comb(r, 2) + d - 1, d) if d else 1) * (
-                    comb(r + dp - d - 1, dp - d) if dp > d else 1
-                )
-                ok = ok and st.invariants_dim(d, dp, r) == expected
-    _report(6, "induced-character-and-invariants", ok, started, 60)
-
-
-def test_criterion_7_orbit_counts():
-    started = time.time()
-    ok = ob.k_orbits(1, 1, 2) == 3 and ob.k_orbits(1, 2, 2) == 6
-    for q, cap in ((2, 4), (3, 3)):
-        for total in range(cap + 1):
-            for d in range(total + 1):
-                ok = ok and ob.verify_counts(d, total - d, q)
-    _report(7, "orbit-counts-vs-classifying-pairs", ok, started, 60)
-
-
-def test_criterion_8_levi_inequality_exhaustive():
-    started = time.time()
-    bound = 2
-    ok = True
-    interleaved_seen = False
-    for n in range(1, 5):
-        for levi in lv.antistandard_levis(n):
-            if levi.blocks == ((1, 3), (2, 4)):
-                interleaved_seen = True
-            res = lv.sweep_inequality(levi, bound, bound)
-            ok = ok and res["holds"]
-            ok = ok and _equality_converse_holds(levi, bound)
-    ok = ok and interleaved_seen
-    _report(8, "levi-pairing-gap-bound", ok, started, 300)
-
-
-def _equality_converse_holds(levi, bound):
-    """At the distinguished configuration the bound must be attained exactly."""
-    from itertools import product
-
-    rho_gap = tuple(
-        a - b for a, b in zip(lv.two_rho(levi.n), lv.two_rho_levi(levi))
-    )
-    for lam in product(range(-bound, bound + 1), repeat=levi.n):
-        if not cw.weakly_increasing(lam):
-            continue
-        mu_star = lv.w0_m(lam, levi)
-        for nu in product(range(bound, -bound - 1, -1), repeat=levi.n):
-            if not cw.weakly_decreasing(nu) or sum(nu) != sum(lam):
-                continue
-            if mu_star not in lv.j_set(lam, nu, levi):
-                continue
-            if lv.f_val(mu_star, levi) != cw.pairing(lam, rho_gap):
-                return False
-            if lv.dom_g(mu_star) != lv.w0_g(lam):
-                return False
-    return True
-
-
-def test_criterion_9_identity_audits():
-    started = time.time()
-    ok = True
-    for n in range(1, 5):
-        for d in range(6):
-            for dp in range(6):
-                for g in range(4):
-                    ok = ok and cw.fibration_dim_identity(n, d, dp, g)[2]
-    for n in (2, 4, 6, 8):
-        for r in range(6):
-            for g in range(4):
-                ok = ok and cw.flag_bundle_dim(n, r, g) == cw.flag_bundle_dim_even(n, r, g)
-    for n in (1, 2, 3):
-        for d in range(5):
-            for dp in range(d, 5):
-                ok = ok and sc.verify_index_reversal(n, d, dp)
-    _report(9, "dimension-identity-audits", ok, started, 5)
+for _number, (_name, _check) in enumerate(zip(TEST_NAMES, checks.CHECKS, strict=True), 1):
+    globals()[_name] = _acceptance_test(_number, _check)

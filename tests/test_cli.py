@@ -111,9 +111,10 @@ def test_bound_override_warns(capsys):
 
 def test_verification_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli.sc, "verify_multiplicity_free", lambda *a: False)
-    code, out, _ = run(capsys, *FAST_BOUNDS, "selftest")
+    code, out, err = run(capsys, *FAST_BOUNDS, "selftest")
     assert code == 1
     assert "schur-multiplicity-free\tFAIL" in out
+    assert err == "schur-multiplicity-free: first failing cell (1, 0, 0)\n"
 
 
 def test_selftest_fast_bounds(capsys):
@@ -124,8 +125,10 @@ def test_selftest_fast_bounds(capsys):
 
 
 PATCHED_UNDER_OPTIMIZE = """
-from flagstrata import cli, levi as lv, strata as st
-real_character, real_pairing = st.ind_character, lv.pairing
+from flagstrata import checks, cli, coweights as cw, levi as lv, strata as st
+run = {check.name: check.run for check in checks.CHECKS}
+real_character, real_pairing, real_f = st.ind_character, lv.pairing, lv.f_val
+real_even = cw.flag_bundle_dim_even
 # a trace that differs inside one cycle type
 st.ind_character = lambda sigma, d, dp: sigma[0]
 st.verify_induced_realization = lambda d, dp: True
@@ -133,11 +136,17 @@ print(cli.main(["strata", "1", "2"]))
 # one more at the identity: the invariant dimension of (1, 1) at r = 1 becomes 1/2
 st.ind_character = lambda sigma, d, dp: real_character(sigma, d, dp) + (sigma == tuple(sorted(sigma)))
 print(repr(st.invariants_dim(1, 1, 1)))
-checks = dict(cli._selftest_checks(cli._parse_bounds(["induced_total=2", "invariants_r=1"]), 1))
-print(checks["induced-character-and-invariants"]())
+print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1), 1))
 # a stabilizer class sum that makes the induced character 1/2 on the 4-cycles
 st._stabilizer_class_sums = lambda d, dp: {(4,): 1}
 print(repr(st.induced_character((2, 3, 4, 1), 2, 2)))
+# an even-rank closed form one above the flag bundle dimension
+cw.flag_bundle_dim_even = lambda n, r, g: real_even(n, r, g) + 1
+print(run["dimension-identity-audits"](dict(checks.DEFAULT_BOUNDS, identity_n=1), 1))
+# a pairing gap one below its value: every bound holds, but none is attained
+lv.f_val = lambda mu, levi: real_f(mu, levi) - 1
+print(cli.main(["levi", "2", "[[1],[2]]", "1", "1"]))
+print(run["levi-pairing-gap-bound"](dict(checks.DEFAULT_BOUNDS, levi_rank=2, levi_bound=1), 1))
 # the two arrangements of the Levi bound disagree where it is strict
 lv.f_val = lambda mu, levi: -10**6
 lv.pairing = lambda a, b: -real_pairing(a, b)
@@ -157,8 +166,15 @@ def test_patched_values_fail_under_optimize():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert "character-not-class-function\t2,1\t1,3,2:1\t2,1,3:2\t-" in lines
-    assert lines[lines.index("induced-model-match\tTrue\t-\t-\t-") + 1 :][:4] == [
-        "1", "Fraction(1, 2)", "False", "Fraction(1, 2)",
+    assert lines[lines.index("induced-model-match\tTrue\t-\t-\t-") + 1 :][:5] == [
+        "1", "Fraction(1, 2)", "(0, 0, 1)", "Fraction(1, 2)", "('flag-bundle', 2, 0, 0)",
     ]
-    assert lines[-5].split("\t") == ["[[1],[2]]", "True", "12", "0", "3", "False"]
-    assert lines[-1] == "1"
+    # f one below its value: no bound is attained, so the equality converse fails
+    converse = lines.index("('[[1]]', (-1,), (-1,))")
+    assert lines[converse - 1] == "1"
+    assert "[[1],[2]]\tTrue\t12\t0\t7\tFalse" in lines[:converse]
+    # the disagreeing arrangements fail where lam is not antidominant, out of the converse's reach
+    tail = lines[converse + 1 :]
+    assert tail[1].endswith("False") and tail[-1] == "1"
+    for lam in ("0,-1", "1,-1", "1,0"):
+        assert f"FAILED-bound\t{lam}\t{lam}\t-\t-\tFalse" in tail

@@ -307,19 +307,19 @@ def test_collided_fiber_mass_leading_counts_interleaved_pairs():
 def test_non_integral_leading_fails_under_optimize():
     # a mass with leading term 3/2 would truncate to the one pairing of (0, 0)
     done = _run_python(
-        "from flagstrata import cli, flagcount as fc\n"
+        "from flagstrata import checks, cli, flagcount as fc\n"
         "fc.fiber_mass = lambda mu, mup: fc.QRat(fc.QPoly((3,)), fc.QPoly((2,)))\n"
         "print(repr(fc.collided_fiber_mass(0, 0)[2]))\n"
         "print(cli.main(['fibermass', '0', '0']))\n"
-        "checks = dict(cli._selftest_checks(cli._parse_bounds(['mass_d=0']), 1))\n"
-        "print(checks['collided-mass-degree-and-leading']())\n",
+        "run = {check.name: check.run for check in checks.CHECKS}\n"
+        "print(run['collided-mass-degree-and-leading'](dict(checks.DEFAULT_BOUNDS, mass_d=0), 1))\n",
         "-O",
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "Fraction(3, 2)"
     assert lines[2].split("\t") == ["0", "0", "0", "3/2", "1", "False"]
-    assert lines[3:] == ["1", "False"]
+    assert lines[3:] == ["1", "(0, 0)"]
 
 
 def test_groupoid_dim_check():

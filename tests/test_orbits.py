@@ -1,6 +1,6 @@
 """Classifying pairs versus union-find orbit counts over F_2 and F_3."""
 
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -61,6 +61,19 @@ def test_generators_are_invertible():
         n = d + dp
         for g in ob.block_group_generators(d, dp, q):
             assert len(gf.rref(g, q)) == n
+
+
+def test_generators_generate_block_group():
+    def gl_order(n, q):
+        return prod(q**n - q**i for i in range(n))
+
+    for d, dp, q in [(1, 2, 2), (2, 2, 2), (0, 3, 2), (1, 3, 2), (1, 2, 3), (2, 1, 3), (0, 3, 3)]:
+        gens = ob.block_group_generators(d, dp, q)
+        group = frontier = {gf.identity(d + dp)}
+        while frontier:
+            frontier = {gf.mat_mul(g, m, q) for m in frontier for g in gens} - group
+            group = group | frontier
+        assert len(group) == gl_order(d, q) * gl_order(dp, q), (d, dp, q)
 
 
 def test_k_orbit_examples():
