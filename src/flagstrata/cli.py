@@ -327,10 +327,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         header, rows, ok, payload = COMMANDS[args.command](args, bounds)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ConfigError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(rows, header, args.format, payload)

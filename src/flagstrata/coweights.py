@@ -191,15 +191,7 @@ def is_interleaved(mu, mup) -> bool:
     """True iff mup_1 >= mu_1 >= mup_2 >= mu_2 >= ... after common padding."""
     mu = as_partition(mu)
     mup = as_partition(mup)
-    m = max(len(mu), len(mup), 1)
-    a = pad(mu, m)
-    b = pad(mup, m)
-    for i in range(m):
-        if b[i] < a[i]:
-            return False
-        if i + 1 < m and a[i] < b[i + 1]:
-            return False
-    return True
+    return weakly_decreasing(interleave(mu, mup, max(len(mu), len(mup), 1)))
 
 
 # ---------------------------------------------------------------------------

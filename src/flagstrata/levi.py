@@ -119,9 +119,13 @@ def dom_m(lam: Vec, levi: BlockLevi) -> Vec:
     """Levi-dominant representative: sort weakly decreasing inside each block."""
     if len(lam) != levi.n:
         raise ValueError(f"expected length {levi.n}")
+    return _place(levi, (sorted((lam[p - 1] for p in block), reverse=True) for block in levi.blocks))
+
+
+def _place(levi: BlockLevi, per_block) -> Vec:
+    """The vector holding each block's values, in order, at that block's positions."""
     out = [0] * levi.n
-    for block in levi.blocks:
-        values = sorted((lam[p - 1] for p in block), reverse=True)
+    for block, values in zip(levi.blocks, per_block):
         for pos, val in zip(block, values):
             out[pos - 1] = val
     return tuple(out)
@@ -169,12 +173,7 @@ def w0_g(lam: Vec) -> Vec:
 
 def w0_m(lam: Vec, levi: BlockLevi) -> Vec:
     """Longest Levi element: reverse coordinates within each block."""
-    out = list(lam)
-    for block in levi.blocks:
-        values = [lam[p - 1] for p in block]
-        for pos, val in zip(block, reversed(values)):
-            out[pos - 1] = val
-    return tuple(out)
+    return _place(levi, ([lam[p - 1] for p in block][::-1] for block in levi.blocks))
 
 
 def weyl_orbit_m(lam: Vec, levi: BlockLevi):
@@ -184,11 +183,7 @@ def weyl_orbit_m(lam: Vec, levi: BlockLevi):
         values = [lam[p - 1] for p in block]
         per_block.append(sorted(set(permutations(values))))
     for combo in product(*per_block):
-        out = [0] * levi.n
-        for block, values in zip(levi.blocks, combo):
-            for pos, val in zip(block, values):
-                out[pos - 1] = val
-        yield tuple(out)
+        yield _place(levi, combo)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +218,7 @@ def j_set(lam: Vec, nu: Vec, levi: BlockLevi) -> list[Vec]:
         per_block.append(choices)
     out = []
     for combo in product(*per_block):
-        mu = [0] * levi.n
-        for block, values in zip(levi.blocks, combo):
-            for pos, val in zip(block, values):
-                mu[pos - 1] = val
-        mu = tuple(mu)
+        mu = _place(levi, combo)
         if leq_m(lam_dom, mu, levi) and leq_g(dom_g(mu), nu):
             out.append(mu)
     return sorted(out)

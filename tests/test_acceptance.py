@@ -9,7 +9,10 @@ import time
 
 from flagstrata import checks
 
-# one test per registry entry, in registry order, under stable test ids
+# One test per registry entry, in registry order.  The ids predate the registry
+# and are kept, not replaced by parametrize ids, so that pass/fail records keyed
+# by test id carry over.  The strict zip makes a new entry fail collection until
+# it is named here, so no entry runs untested.
 TEST_NAMES = (
     "test_criterion_1_multiplicity_free_decomposition",
     "test_criterion_2_margin_exhaustive",

@@ -119,7 +119,10 @@ def test_flag_bundle_dim():
 
 
 def test_flag_bundle_dim_even_closed_form():
-    # the agreement with flag_bundle_dim is audited by flagstrata.checks
+    for n in (2, 4, 6, 8):
+        for r in range(6):
+            for g in range(4):
+                assert cw.flag_bundle_dim(n, r, g) == cw.flag_bundle_dim_even(n, r, g)
     with pytest.raises(ValueError):
         cw.flag_bundle_dim_even(3, 1, 0)
 
