@@ -34,6 +34,15 @@ DEFAULT_BOUNDS = {
     "identity_n": 4,
 }
 
+# Bounds past these sizes would make an oracle raise mid-sweep, so they are
+# rejected before any sweep runs.
+BOUND_CAPS = {
+    "orbit_total_q2": ob.ORBIT_LIMIT[2],
+    "orbit_total_q3": ob.ORBIT_LIMIT[3],
+    "brute_flag_size": fc.BRUTE_FLAG_LIMIT[2],
+    "brute_aut_size": min(fc.BRUTE_FLAG_LIMIT.values()),
+}
+
 
 class Check(NamedTuple):
     name: str

@@ -19,7 +19,7 @@ from . import levi as lv
 from . import orbits as ob
 from . import schur as sc
 from . import strata as st
-from .checks import CHECKS, DEFAULT_BOUNDS
+from .checks import BOUND_CAPS, CHECKS, DEFAULT_BOUNDS
 
 
 class ConfigError(Exception):
@@ -40,6 +40,8 @@ def _parse_bounds(pairs) -> dict[str, int]:
             raise ConfigError(f"bound {key} needs an integer, got {value!r}") from exc
         if bounds[key] < 0:
             raise ConfigError(f"bound {key} must be >= 0, got {bounds[key]}")
+        if key in BOUND_CAPS and bounds[key] > BOUND_CAPS[key]:
+            raise ConfigError(f"bound {key} capped at {BOUND_CAPS[key]}, got {bounds[key]}")
         if bounds[key] > DEFAULT_BOUNDS[key]:
             print(
                 f"warning: bound {key}={bounds[key]} above default "

@@ -215,27 +215,19 @@ def count_flags_brute(mu, q: int) -> int:
     n = module.dim
     if n > BRUTE_FLAG_LIMIT[q]:
         raise ValueError(f"brute force capped at dimension {BRUTE_FLAG_LIMIT[q]} for q={q}")
-    t = module.operator
-    vectors = [v for v in gf.all_vectors(n, q) if any(v)]
-    memo: dict[gf.Matrix, int] = {}
+    lattice = gf.subspace_lattice(n, q)
+    vmap = gf.vector_map(module.operator, n, q)
+    stable = [all(vmap[x] in space for x in space) for space in lattice.spaces]
+    memo: dict[int, int] = {}
 
-    def chains_from(sub: gf.Matrix) -> int:
-        if len(sub) == n:
+    def chains_from(s: int) -> int:
+        if not lattice.covers[s]:
             return 1
-        if sub in memo:
-            return memo[sub]
-        covers = set()
-        for v in vectors:
-            if not gf.in_span(sub, v, q):
-                covers.add(gf.rref(sub + (v,), q))
-        total = 0
-        for cover in covers:
-            if all(gf.in_span(cover, gf.mat_vec(t, row, q), q) for row in cover):
-                total += chains_from(cover)
-        memo[sub] = total
-        return total
+        if s not in memo:
+            memo[s] = sum(chains_from(c) for c in lattice.covers[s] if stable[c])
+        return memo[s]
 
-    return chains_from(())
+    return chains_from(0)
 
 
 @lru_cache(maxsize=None)

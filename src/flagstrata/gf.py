@@ -1,12 +1,18 @@
-"""Dense linear algebra over the prime fields F_2 and F_3.
+"""Dense linear algebra and the subspace lattice over a small prime field F_q.
 
 Vectors are tuples of ints in range(q); matrices are tuples of row vectors.
 Everything is tiny (dimension <= 5), so plain Python arithmetic is used.
+
+The subspace lattice indexes the q^n vectors of F_q^n in `all_vectors` order
+and holds each subspace as the frozenset of its vector indices, which is
+canonical without any echelon form.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -63,6 +69,78 @@ def in_span(rows: Matrix, v: Vector, q: int) -> bool:
 
 def all_vectors(n: int, q: int):
     return product(range(q), repeat=n)
+
+
+def primitive_root(q: int) -> int:
+    """The smallest generator of the unit group of the prime field F_q."""
+    return next(g for g in range(1, q) if len({pow(g, k, q) for k in range(1, q)}) == q - 1)
+
+
+def vector_index(v: Vector, q: int) -> int:
+    """Position of v in `all_vectors` order: its entries as base-q digits."""
+    index = 0
+    for x in v:
+        index = index * q + x
+    return index
+
+
+def vector_map(matrix: Matrix, n: int, q: int) -> tuple[int, ...]:
+    """A linear map on vector indices: entry i is the index of matrix times vector i."""
+    return tuple(vector_index(mat_vec(matrix, v, q), q) for v in all_vectors(n, q))
+
+
+class SubspaceLattice(NamedTuple):
+    """Every subspace of F_q^n, ids in breadth-first order from the zero space.
+
+    spaces[s] is the frozenset of vector indices of subspace s, ids inverts
+    it, covers[s] lists the ids of the subspaces one dimension above s (empty
+    only for the whole space), and bases[s] is a basis of s.
+    """
+
+    spaces: tuple[frozenset[int], ...]
+    ids: dict[frozenset[int], int]
+    covers: tuple[tuple[int, ...], ...]
+    bases: tuple[Matrix, ...]
+
+    def image(self, vmap: tuple[int, ...]) -> tuple[int, ...]:
+        """The id of the image of every subspace under an invertible vector_map."""
+        return tuple(self.ids[frozenset(vmap[x] for x in space)] for space in self.spaces)
+
+
+@lru_cache(maxsize=None)
+def subspace_lattice(n: int, q: int) -> SubspaceLattice:
+    """The subspace lattice of F_q^n, built once per (n, q) on first use.
+
+    The covers of s are listed in order of their smallest vector index
+    outside s, so a depth-first walk meets the chains in the order of a scan
+    of `all_vectors` at each step.
+    """
+    vectors = list(all_vectors(n, q))
+    # translate[w][x] is the index of vector x + vector w
+    translate = [
+        [vector_index(tuple((a + b) % q for a, b in zip(u, w)), q) for u in vectors]
+        for w in vectors
+    ]
+    spaces = [frozenset({0})]
+    ids = {spaces[0]: 0}
+    bases: list[Matrix] = [()]
+    covers = []
+    for s, space in enumerate(spaces):  # spaces grows as new subspaces are met
+        seen = set(space)
+        up = []
+        for x, v in enumerate(vectors):
+            if x in seen:
+                continue
+            line = [vector_index(tuple(c * a % q for a in v), q) for c in range(q)]
+            cover = frozenset(translate[w][y] for w in line for y in space)
+            seen |= cover
+            if cover not in ids:
+                ids[cover] = len(spaces)
+                spaces.append(cover)
+                bases.append(bases[s] + (v,))
+            up.append(ids[cover])
+        covers.append(tuple(up))
+    return SubspaceLattice(tuple(spaces), ids, tuple(covers), tuple(bases))
 
 
 def nullspace_basis(rows, q: int) -> list[Vector]:

@@ -15,7 +15,7 @@ from .strata import Involution, enumerate_pairings, pairing_to_involution
 
 Flag = tuple[gf.Matrix, ...]
 
-ORBIT_LIMIT = {2: 4, 3: 3}
+ORBIT_LIMIT = {2: 5, 3: 4}
 
 
 def enumerate_involutions(n: int, max_pairs: int | None = None) -> list[Involution]:
@@ -55,27 +55,30 @@ def _pairs_with_inside(d: int, dp: int, hi_inside: bool) -> list[tuple[Involutio
 # flags over F_q
 
 
+def _chains(lattice: gf.SubspaceLattice) -> list[tuple[int, ...]]:
+    """Every complete flag as the ids of its subspaces of dimension 1..n."""
+    chains: list[tuple[int, ...]] = []
+
+    def extend(chain: tuple[int, ...], top: int):
+        if not lattice.covers[top]:
+            chains.append(chain)
+        for cover in lattice.covers[top]:
+            extend(chain + (cover,), cover)
+
+    extend((), 0)
+    return chains
+
+
+def _decode(chains, lattice: gf.SubspaceLattice, q: int) -> list[Flag]:
+    """Chains of subspace ids as flags, echelonizing each subspace once."""
+    echelon = [gf.rref(basis, q) for basis in lattice.bases]
+    return [tuple(echelon[s] for s in chain) for chain in chains]
+
+
 def all_flags(n: int, q: int) -> list[Flag]:
     """Every complete flag in F_q^n, each subspace in canonical echelon form."""
-    flags: list[Flag] = []
-
-    def extend(chain: tuple[gf.Matrix, ...]):
-        k = len(chain)
-        if k == n:
-            flags.append(chain)
-            return
-        current = chain[-1] if chain else ()
-        seen = set()
-        for v in gf.all_vectors(n, q):
-            if not any(v) or gf.in_span(current, v, q):
-                continue
-            bigger = gf.rref(current + (v,), q)
-            if bigger not in seen:
-                seen.add(bigger)
-                extend(chain + (bigger,))
-
-    extend(())
-    return flags
+    lattice = gf.subspace_lattice(n, q)
+    return _decode(_chains(lattice), lattice, q)
 
 
 def flag_total(n: int, q: int) -> int:
@@ -106,15 +109,9 @@ def block_group_generators(d: int, dp: int, q: int) -> list[gf.Matrix]:
                 gens.append(tuple(tuple(r) for r in mat))
         if q > 2 and len(block) > 0:
             mat = [list(row) for row in gf.identity(n)]
-            mat[block[0]][block[0]] = q - 1  # q-1 generates the units of F_2, F_3
+            mat[block[0]][block[0]] = gf.primitive_root(q)
             gens.append(tuple(tuple(r) for r in mat))
     return gens
-
-
-def _apply(matrix: gf.Matrix, flag: Flag, q: int) -> Flag:
-    return tuple(
-        gf.rref(tuple(gf.mat_vec(matrix, row, q) for row in sub), q) for sub in flag
-    )
 
 
 class UnionFind:
@@ -146,13 +143,15 @@ def orbit_decomposition(d: int, dp: int, q: int) -> list[list[Flag]]:
     n = d + dp
     if n > ORBIT_LIMIT[q]:
         raise ValueError(f"orbit enumeration capped at dimension {ORBIT_LIMIT[q]} for q={q}")
-    flags = all_flags(n, q)
-    index = {flag: i for i, flag in enumerate(flags)}
-    uf = UnionFind(len(flags))
-    gens = block_group_generators(d, dp, q)
-    for flag, i in index.items():
-        for g in gens:
-            uf.union(i, index[_apply(g, flag, q)])
+    lattice = gf.subspace_lattice(n, q)
+    chains = _chains(lattice)
+    index = {chain: i for i, chain in enumerate(chains)}
+    uf = UnionFind(len(chains))
+    for g in block_group_generators(d, dp, q):
+        image = lattice.image(gf.vector_map(g, n, q))
+        for chain, i in index.items():
+            uf.union(i, index[tuple(image[s] for s in chain)])
+    flags = _decode(chains, lattice, q)
     return [[flags[i] for i in members] for members in uf.groups().values()]
 
 

@@ -1,9 +1,14 @@
 """CLI dispatch, output formats, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from flagstrata import cli
 
@@ -98,6 +103,10 @@ def test_invalid_config_exit_2(capsys, monkeypatch):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "levi", "0", "[]", "1", "1")
     assert code == 2 and err.startswith("error: n must be >= 1")
+    # a bound past an oracle's cap is refused before any sweep runs
+    for bound in ("orbit_total_q2=6", "orbit_total_q3=5", "brute_flag_size=6", "brute_aut_size=5"):
+        code, out, err = run(capsys, "--bound", bound, "selftest")
+        assert code == 2 and out == "" and err.startswith(f"error: bound {bound.split('=')[0]} capped")
     monkeypatch.setenv("FLAGSTRATA_JOBS", "abc")
     code, _, err = run(capsys, "schur", "1", "0", "0")
     assert code == 2 and err.startswith("error:")
@@ -122,6 +131,51 @@ def test_selftest_fast_bounds(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 10 and all(line.endswith("PASS") for line in lines[1:])
+
+
+INTS = hs.integers(-2, 3).map(str)
+BLOCKS = hs.sampled_from([
+    "[[1],[2]]", "[[1,3],[2]]", "[[1],[2],[3]]", "[[1,2,3]]", "[[1],[2,4],[3]]", "[]",
+    "[[1],[1]]", "[[0]]", "[[],[1]]", "[[true]]", "[[1.5]]", "[1,2]", '{"a": 1}', "null",
+    "[[1],[2]", "abc", "",
+])
+COMMAND = hs.one_of(
+    hs.tuples(hs.just("schur"), INTS, INTS, INTS),
+    hs.tuples(hs.just("strata"), INTS, INTS),
+    hs.tuples(hs.just("flagdim"), INTS),
+    hs.tuples(hs.just("fibermass"), INTS, INTS),
+    hs.tuples(hs.just("orbits"), INTS, INTS, INTS),
+    hs.tuples(hs.just("levi"), INTS, BLOCKS, INTS, INTS),
+    hs.just(("selftest",)),
+)
+GOOD_OPTIONS = hs.tuples(
+    hs.sampled_from([(), ("--format", "tsv"), ("--format", "json")]),
+    hs.sampled_from([(), ("--jobs", "1")]),
+    hs.sampled_from([(), ("--bound", "schur_n=2"), ("--bound", "identity_n=1"), ("--bound", "levi_bound=0")]),
+)
+BAD_OPTION = hs.sampled_from([
+    ("--format", "xml"), ("--format",), ("--jobs", "0"), ("--jobs", "-1"), ("--jobs", "x"),
+    ("--bound", "bogus=1"), ("--bound", "schur_n"), ("--bound", "schur_n=x"), ("--bound", "mass_d=-1"),
+    ("--bound", "orbit_total_q2=9"), ("--bound", "orbit_total_q3=5"),
+    ("--bound", "brute_flag_size=6"), ("--bound", "brute_aut_size=5"),
+])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(COMMAND, GOOD_OPTIONS, hs.lists(BAD_OPTION, max_size=1))
+def test_exit_contract_fuzz(command, good, bad):
+    # selftest runs only at the small bounds; no drawn bound raises a sweep
+    # above its default
+    fast = FAST_BOUNDS if command == ("selftest",) else ()
+    argv = [*fast, *(x for option in (*good, *bad) for x in option), *command]
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1, 2), argv
 
 
 PATCHED_UNDER_OPTIMIZE = """

@@ -111,6 +111,35 @@ def test_count_flags_brute_examples():
         fc.count_flags_brute((3, 2, 1), 2)
 
 
+def _flags_by_echelon_chains(mu, q):
+    # the slow oracle: covers found by scanning every vector, subspaces keyed by RREF
+    n = sum(mu)
+    t = fc.jordan_matrix(mu)
+    vectors = [v for v in gf.all_vectors(n, q) if any(v)]
+    memo = {}
+
+    def chains_from(sub):
+        if len(sub) == n:
+            return 1
+        if sub not in memo:
+            covers = {gf.rref(sub + (v,), q) for v in vectors if not gf.in_span(sub, v, q)}
+            memo[sub] = sum(
+                chains_from(cover)
+                for cover in covers
+                if all(gf.in_span(cover, gf.mat_vec(t, row, q), q) for row in cover)
+            )
+        return memo[sub]
+
+    return chains_from(())
+
+
+def test_count_flags_brute_vs_echelon_chains():
+    for q, top in ((2, 4), (3, 3)):
+        for size in range(top + 1):
+            for mu in partitions(size):
+                assert fc.count_flags_brute(mu, q) == _flags_by_echelon_chains(mu, q), (mu, q)
+
+
 def test_count_flags_poly_examples():
     assert fc.count_flags_poly((2, 1)) == fc.QPoly((1, 2))
     assert fc.count_flags_poly((2,)) == ONE

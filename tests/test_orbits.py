@@ -46,6 +46,54 @@ def test_flag_enumeration_counts():
     assert len(ob.all_flags(3, 2)) == ob.flag_total(3, 2) == 21
     assert len(ob.all_flags(4, 2)) == 315
     assert len(ob.all_flags(3, 3)) == 52
+    assert len(ob.all_flags(5, 2)) == ob.flag_total(5, 2) == 9765
+    assert len(ob.all_flags(4, 3)) == ob.flag_total(4, 3) == 2080
+
+
+# The slow oracle: flags grown by scanning every vector and echelonizing each
+# step, and a generator moving a flag by echelonizing the image of every subspace.
+
+def _echelon_flags(n, q):
+    flags = []
+
+    def extend(chain):
+        if len(chain) == n:
+            flags.append(chain)
+            return
+        current = chain[-1] if chain else ()
+        seen = set()
+        for v in gf.all_vectors(n, q):
+            if not any(v) or gf.in_span(current, v, q):
+                continue
+            bigger = gf.rref(current + (v,), q)
+            if bigger not in seen:
+                seen.add(bigger)
+                extend(chain + (bigger,))
+
+    extend(())
+    return flags
+
+
+def _echelon_orbits(d, dp, q):
+    flags = _echelon_flags(d + dp, q)
+    index = {flag: i for i, flag in enumerate(flags)}
+    uf = ob.UnionFind(len(flags))
+    for flag, i in index.items():
+        for g in ob.block_group_generators(d, dp, q):
+            moved = tuple(gf.rref(tuple(gf.mat_vec(g, row, q) for row in sub), q) for sub in flag)
+            uf.union(i, index[moved])
+    return [[flags[i] for i in members] for members in uf.groups().values()]
+
+
+def test_lattice_flags_match_echelon_oracle():
+    for q, cap in ((2, 4), (3, 3)):
+        for n in range(cap + 1):
+            assert ob.all_flags(n, q) == _echelon_flags(n, q), (n, q)
+        for total in range(cap + 1):
+            for d in range(total + 1):
+                got = {frozenset(orbit) for orbit in ob.orbit_decomposition(d, total - d, q)}
+                want = {frozenset(orbit) for orbit in _echelon_orbits(d, total - d, q)}
+                assert got == want, (d, total - d, q)
 
 
 def test_flags_are_strict_chains():
@@ -63,11 +111,19 @@ def test_generators_are_invertible():
             assert len(gf.rref(g, q)) == n
 
 
+def test_primitive_roots():
+    # q - 1 for q = 2, 3, so their generators are unchanged; 4 has order 2 mod 5
+    assert [gf.primitive_root(q) for q in (2, 3, 5, 7, 11, 13)] == [1, 2, 2, 3, 2, 2]
+
+
 def test_generators_generate_block_group():
     def gl_order(n, q):
         return prod(q**n - q**i for i in range(n))
 
-    for d, dp, q in [(1, 2, 2), (2, 2, 2), (0, 3, 2), (1, 3, 2), (1, 2, 3), (2, 1, 3), (0, 3, 3)]:
+    for d, dp, q in [
+        (1, 2, 2), (2, 2, 2), (0, 3, 2), (1, 3, 2), (1, 2, 3), (2, 1, 3), (0, 3, 3),
+        (1, 1, 5), (0, 2, 5), (2, 1, 5),
+    ]:
         gens = ob.block_group_generators(d, dp, q)
         group = frontier = {gf.identity(d + dp)}
         while frontier:
@@ -91,23 +147,23 @@ def test_orbits_partition_flag_set():
 
 
 def test_verify_counts_all_feasible():
-    for q, cap in ((2, 4), (3, 3)):
+    for q, cap in ((2, 5), (3, 4)):
         for total in range(cap + 1):
             for d in range(total + 1):
                 assert ob.verify_counts(d, total - d, q), (d, total - d, q)
 
 
 def test_orbit_counts_are_q_independent():
-    for total in range(4):
+    for total in range(5):
         for d in range(total + 1):
             assert ob.k_orbits(d, total - d, 2) == ob.k_orbits(d, total - d, 3)
 
 
 def test_size_caps():
     with pytest.raises(ValueError):
-        ob.k_orbits(3, 2, 2)
+        ob.k_orbits(3, 3, 2)
     with pytest.raises(ValueError):
-        ob.k_orbits(2, 2, 3)
+        ob.k_orbits(2, 3, 3)
     with pytest.raises(ValueError):
         ob.k_orbits(1, 1, 5)
 
