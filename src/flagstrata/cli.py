@@ -202,7 +202,7 @@ def cmd_levi(args, bounds):
     rows = [
         (
             str(levi),
-            lv.is_antistandard(levi),
+            res["antistandard"],
             res["pairs_checked"],
             len(res["equalities"]),
             len(res["failures"]),
@@ -217,7 +217,7 @@ def cmd_levi(args, bounds):
         rows.append(("FAILED-bound", _fmt_vec(lam), _fmt_vec(nu), "-", "-", False))
     payload = {
         "levi": [list(b) for b in levi.blocks],
-        "antistandard": lv.is_antistandard(levi),
+        "antistandard": res["antistandard"],
         "pairs_checked": res["pairs_checked"],
         "holds": res["holds"],
         "equalities": [

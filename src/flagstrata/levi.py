@@ -193,43 +193,37 @@ def weyl_orbit_m(lam: Vec, levi: BlockLevi):
 def j_set(lam: Vec, nu: Vec, levi: BlockLevi) -> list[Vec]:
     """All Levi-dominant mu above lam blockwise and below nu globally.
 
-    Candidates have the same block sums as lam, entries confined to the range
-    of nu, and total equal to sum(nu); both order conditions are then tested
-    literally.
+    Each block of mu is a decreasing tuple in the range of nu with the block
+    sum of lam that lies above that block of dom_m(lam); every product of
+    such blocks is then tested against nu literally.
     """
+    _check_pair(lam, nu, levi)
+    kernel = _LeviKernel(levi)
+    return kernel.squeeze(kernel.tops(lam), nu)
+
+
+def _check_pair(lam: Vec, nu: Vec, levi: BlockLevi) -> None:
     if len(lam) != levi.n or len(nu) != levi.n:
         raise ValueError(f"expected length {levi.n}")
     if not weakly_decreasing(nu):
         raise ValueError(f"nu must be dominant, got {nu}")
-    if sum(lam) != sum(nu):
-        return []
-    lo, hi = min(nu), max(nu)
-    lam_dom = dom_m(lam, levi)
-    per_block: list[list[tuple[int, ...]]] = []
-    for block in levi.blocks:
-        target = sum(lam[p - 1] for p in block)
-        choices = [
-            combo
-            for combo in _decreasing_tuples(len(block), lo, hi)
-            if sum(combo) == target
-        ]
-        if not choices:
-            return []
-        per_block.append(choices)
-    out = []
-    for combo in product(*per_block):
-        mu = _place(levi, combo)
-        if leq_m(lam_dom, mu, levi) and leq_g(dom_g(mu), nu):
-            out.append(mu)
-    return sorted(out)
 
 
-def _decreasing_tuples(length: int, lo: int, hi: int):
+def _fixed_sum_tuples(length: int, lo: int, hi: int, total: int):
+    """Weakly decreasing tuples with entries in [lo, hi] summing to total.
+
+    They come in decreasing lexicographic order.  The first entry is the
+    largest, so it is at least total / length, and the rest must be able to
+    reach their sum from entries >= lo; every branch taken yields a tuple.
+    """
     if length == 0:
-        yield ()
+        if total == 0:
+            yield ()
         return
-    for first in range(hi, lo - 1, -1):
-        for rest in _decreasing_tuples(length - 1, lo, first):
+    top = min(hi, total - (length - 1) * lo)
+    bottom = max(lo, -(-total // length))
+    for first in range(top, bottom - 1, -1):
+        for rest in _fixed_sum_tuples(length - 1, lo, first, total - first):
             yield (first,) + rest
 
 
@@ -252,77 +246,140 @@ def verify_inequality(lam: Vec, nu: Vec, levi: BlockLevi) -> dict:
     set, the bound must be attained there; otherwise a "converse" witness
     fails the check.
     """
-    rho_gap = tuple(a - b for a, b in zip(two_rho(levi.n), two_rho_levi(levi)))
-    rhs = pairing(lam, rho_gap)
-    rho_m = two_rho_levi(levi)
-    rho = two_rho(levi.n)
-    antistandard = is_antistandard(levi)
-    mu_star = w0_m(lam, levi) if antistandard and weakly_increasing(lam) else None
-    holds = True
-    witnesses = []
-    for mu in j_set(lam, nu, levi):
-        value = f_val(mu, levi)
-        mu_dom = dom_g(mu)
-        # the same inequality rearranged; both forms must agree
-        first = value <= rhs
-        second = pairing(
-            tuple(a + b for a, b in zip(lam, mu)), rho_m
-        ) <= pairing(tuple(a + b for a, b in zip(lam, mu_dom)), rho)
-        if not (first and second):
-            holds = False
-            witnesses.append(
-                {
-                    "mu": mu,
-                    "mu_dom": mu_dom,
-                    "f": value,
-                    "rhs": rhs,
-                    "kind": "mismatch" if first != second else "violation",
-                }
-            )
-            continue
-        if mu == mu_star and value != rhs:
-            holds = False
-            witnesses.append(
-                {"mu": mu, "mu_dom": mu_dom, "f": value, "rhs": rhs, "kind": "converse"}
-            )
-            continue
-        if value == rhs:
-            expected = (
-                weakly_increasing(lam)
-                and mu == w0_m(lam, levi)
-                and mu_dom == w0_g(lam)
-            )
-            witnesses.append(
-                {
-                    "mu": mu,
-                    "mu_dom": mu_dom,
-                    "f": value,
-                    "rhs": rhs,
-                    "kind": "equality",
-                    "expected_configuration": expected,
-                    "lam_antidominant_g": weakly_increasing(lam),
-                    "lam_antidominant_m": is_dominant_m(
-                        tuple(-x for x in lam), levi
-                    ),
-                }
-            )
-            if antistandard and not expected:
-                holds = False
-    return {"holds": holds, "antistandard": antistandard, "witnesses": witnesses}
+    # the bound <lam, gap> comes first, so a lam of the wrong length is
+    # reported by pairing before nu is looked at
+    verify = _LeviKernel(levi).verifier(lam)
+    _check_pair(lam, nu, levi)
+    return verify(nu)
 
 
-def _sweep_chunk(payload) -> tuple[int, list, list]:
+class _LeviKernel:
+    """What a sweep over one Levi computes once and reuses.
+
+    The rho vectors, their gap and the antistandard flag are fixed by the
+    Levi.  The squeeze set depends on lam only through dom_m(lam), so it is
+    cached on (dom_m(lam), nu), built from per-block choices cached on
+    (block values, lo, hi).  f and the dominant sort are cached per mu.  A
+    kernel lives for one sweep chunk or one public call, so nothing is kept
+    across sweeps.  It calls f_val and pairing through the module globals: a
+    rebound f_val or pairing takes effect from the next sweep on.
+    """
+
+    def __init__(self, levi: BlockLevi):
+        self.levi = levi
+        self.rho = two_rho(levi.n)
+        self.rho_m = two_rho_levi(levi)
+        self.rho_gap = tuple(a - b for a, b in zip(self.rho, self.rho_m))
+        self.antistandard = is_antistandard(levi)
+        self._index = [[p - 1 for p in block] for block in levi.blocks]
+        self._choices: dict = {}
+        self._squeeze: dict = {}
+        self._f: dict = {}
+
+    def tops(self, lam: Vec) -> tuple[Vec, ...]:
+        """dom_m(lam) as one weakly decreasing tuple per block."""
+        return tuple(tuple(sorted((lam[i] for i in index), reverse=True)) for index in self._index)
+
+    def block_choices(self, top: Vec, lo: int, hi: int) -> list[Vec]:
+        """Decreasing tuples in [lo, hi] with the sum of top that lie above it.
+
+        Above is leq_g along the block, which is how leq_m(dom_m(lam), mu)
+        factors over the blocks.
+        """
+        key = (top, lo, hi)
+        found = self._choices.get(key)
+        if found is None:
+            found = [c for c in _fixed_sum_tuples(len(top), lo, hi, sum(top)) if leq_g(top, c)]
+            self._choices[key] = found
+        return found
+
+    def squeeze(self, tops: tuple[Vec, ...], nu: Vec) -> list[Vec]:
+        """j_set for the lam whose dom_m is tops; a total other than sum(nu) fails leq_g."""
+        key = (tops, nu)
+        found = self._squeeze.get(key)
+        if found is None:
+            lo, hi = min(nu), max(nu)
+            per_block = [self.block_choices(top, lo, hi) for top in tops]
+            mus = (_place(self.levi, combo) for combo in product(*per_block))
+            found = self._squeeze[key] = sorted(mu for mu in mus if leq_g(dom_g(mu), nu))
+        return found
+
+    def f_and_dom(self, mu: Vec) -> tuple:
+        """(f_val(mu), dom_g(mu)); f_val is called at most once per mu."""
+        found = self._f.get(mu)
+        if found is None:
+            found = self._f[mu] = (f_val(mu, self.levi), dom_g(mu))
+        return found
+
+    def verifier(self, lam: Vec):
+        """verify_inequality(lam, ., levi) as a function of nu.
+
+        The verdict on each mu depends on lam and mu only, so it is kept for
+        every nu of this lam; each report gets its own witness dicts.
+        """
+        levi = self.levi
+        rhs = pairing(lam, self.rho_gap)
+        antidominant = weakly_increasing(lam)
+        reversed_m = w0_m(lam, levi)
+        reversed_g = w0_g(lam)
+        mu_star = reversed_m if self.antistandard and antidominant else None
+        antidominant_m = is_dominant_m(tuple(-x for x in lam), levi)
+        tops = self.tops(lam)
+        verdicts: dict = {}
+
+        def judge(mu):
+            value, mu_dom = self.f_and_dom(mu)
+            # the same inequality rearranged; both forms must agree
+            first = value <= rhs
+            second = pairing(
+                tuple(a + b for a, b in zip(lam, mu)), self.rho_m
+            ) <= pairing(tuple(a + b for a, b in zip(lam, mu_dom)), self.rho)
+            found = {"mu": mu, "mu_dom": mu_dom, "f": value, "rhs": rhs}
+            if not (first and second):
+                found["kind"] = "mismatch" if first != second else "violation"
+                return found, False
+            if mu == mu_star and value != rhs:
+                found["kind"] = "converse"
+                return found, False
+            if value != rhs:
+                return None, True
+            expected = antidominant and mu == reversed_m and mu_dom == reversed_g
+            found["kind"] = "equality"
+            found["expected_configuration"] = expected
+            found["lam_antidominant_g"] = antidominant
+            found["lam_antidominant_m"] = antidominant_m
+            return found, expected or not self.antistandard
+
+        def verify(nu: Vec) -> dict:
+            holds = True
+            witnesses = []
+            for mu in self.squeeze(tops, nu):
+                verdict = verdicts.get(mu)
+                if verdict is None:
+                    verdict = verdicts[mu] = judge(mu)
+                found, ok = verdict
+                if found is not None:
+                    witnesses.append(dict(found))
+                holds = holds and ok
+            return {"holds": holds, "antistandard": self.antistandard, "witnesses": witnesses}
+
+        return verify
+
+
+def _sweep_chunk(payload) -> tuple[bool, int, list, list]:
     n, blocks, lams, nu_bound = payload
-    levi = BlockLevi(n, blocks)
-    by_sum: dict[int, list[Vec]] = {}
-    for nu in _decreasing_tuples(n, -nu_bound, nu_bound):
-        by_sum.setdefault(sum(nu), []).append(nu)
+    kernel = _LeviKernel(BlockLevi(n, blocks))
+    nus_by_sum: dict[int, list[Vec]] = {}
     total = 0
     equalities = []
     failures = []
     for lam in lams:
-        for nu in by_sum.get(sum(lam), ()):
-            report = verify_inequality(lam, nu, levi)
+        s = sum(lam)
+        if s not in nus_by_sum:
+            nus_by_sum[s] = list(_fixed_sum_tuples(n, -nu_bound, nu_bound, s))
+        verify = kernel.verifier(lam)
+        for nu in nus_by_sum[s]:
+            report = verify(nu)
             total += 1
             for w in report["witnesses"]:
                 if w["kind"] == "equality":
@@ -331,14 +388,15 @@ def _sweep_chunk(payload) -> tuple[int, list, list]:
                     )
             if not report["holds"]:
                 failures.append((lam, nu, report))
-    return total, equalities, failures
+    return kernel.antistandard, total, equalities, failures
 
 
 def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int = 1) -> dict:
     """Exhaustive check of the bound for all lam, dominant nu within the box.
 
-    Returns totals, every equality witness (lam, nu, mu, mu_dom, f, rhs) in
-    canonical order, and any failures.  jobs is clamped to the CPU count and
+    Returns whether the Levi is antistandard, totals, every equality witness
+    (lam, nu, mu, mu_dom, f, rhs) in canonical order, and any failures.  Each
+    chunk of lam builds its own kernel.  jobs is clamped to the CPU count and
     to the number of lam, so no worker process is started idle.
     """
     n = levi.n
@@ -354,12 +412,13 @@ def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int =
             parts = pool.map(_sweep_chunk, chunks)
     else:
         parts = [_sweep_chunk((n, levi.blocks, lams, nu_bound))]
-    total = sum(p[0] for p in parts)
-    equalities = sorted(e for p in parts for e in p[1])
-    failures = [f for p in parts for f in p[2]]
+    total = sum(p[1] for p in parts)
+    equalities = sorted(e for p in parts for e in p[2])
+    failures = [f for p in parts for f in p[3]]
     failures.sort(key=lambda item: (item[0], item[1]))
     return {
         "levi": str(levi),
+        "antistandard": parts[0][0],
         "pairs_checked": total,
         "equalities": equalities,
         "failures": failures,

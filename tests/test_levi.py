@@ -1,5 +1,6 @@
 """Block Levis: dominance orders, the squeeze set, and the pairing-gap bound."""
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -10,6 +11,135 @@ from flagstrata import levi as lv
 INTER4 = lv.BlockLevi(4, [(1, 3), (2, 4)])
 STD4 = lv.BlockLevi(4, [(1, 2), (3, 4)])
 TORUS2 = lv.torus_levi(2)
+# every block Levi of rank <= 4, one per set partition (1 + 2 + 5 + 15)
+BLOCK_LEVIS = [
+    lv.BlockLevi(n, [tuple(b) for b in part])
+    for n in range(1, 5)
+    for part in lv._set_partitions(list(range(1, n + 1)))
+]
+
+
+# ---------------------------------------------------------------------------
+# slow oracles: the squeeze set and the bound computed one (lam, nu) at a time,
+# from whole decreasing boxes and with no caches; the sweep kernel in levi.py
+# must agree with them on every report and witness
+
+
+def decreasing_tuples(length, lo, hi):
+    if length == 0:
+        yield ()
+        return
+    for first in range(hi, lo - 1, -1):
+        for rest in decreasing_tuples(length - 1, lo, first):
+            yield (first,) + rest
+
+
+def oracle_j_set(lam, nu, levi):
+    if len(lam) != levi.n or len(nu) != levi.n:
+        raise ValueError(f"expected length {levi.n}")
+    if not lv.weakly_decreasing(nu):
+        raise ValueError(f"nu must be dominant, got {nu}")
+    if sum(lam) != sum(nu):
+        return []
+    lo, hi = min(nu), max(nu)
+    lam_dom = lv.dom_m(lam, levi)
+    per_block = []
+    for block in levi.blocks:
+        target = sum(lam[p - 1] for p in block)
+        choices = [c for c in decreasing_tuples(len(block), lo, hi) if sum(c) == target]
+        if not choices:
+            return []
+        per_block.append(choices)
+    out = []
+    for combo in product(*per_block):
+        mu = lv._place(levi, combo)
+        if lv.leq_m(lam_dom, mu, levi) and lv.leq_g(lv.dom_g(mu), nu):
+            out.append(mu)
+    return sorted(out)
+
+
+def oracle_verify_inequality(lam, nu, levi):
+    rho_gap = tuple(a - b for a, b in zip(lv.two_rho(levi.n), lv.two_rho_levi(levi)))
+    rhs = lv.pairing(lam, rho_gap)
+    rho_m = lv.two_rho_levi(levi)
+    rho = lv.two_rho(levi.n)
+    antistandard = lv.is_antistandard(levi)
+    mu_star = lv.w0_m(lam, levi) if antistandard and lv.weakly_increasing(lam) else None
+    holds = True
+    witnesses = []
+    for mu in oracle_j_set(lam, nu, levi):
+        value = lv.f_val(mu, levi)
+        mu_dom = lv.dom_g(mu)
+        first = value <= rhs
+        second = lv.pairing(
+            tuple(a + b for a, b in zip(lam, mu)), rho_m
+        ) <= lv.pairing(tuple(a + b for a, b in zip(lam, mu_dom)), rho)
+        if not (first and second):
+            holds = False
+            witnesses.append(
+                {
+                    "mu": mu,
+                    "mu_dom": mu_dom,
+                    "f": value,
+                    "rhs": rhs,
+                    "kind": "mismatch" if first != second else "violation",
+                }
+            )
+            continue
+        if mu == mu_star and value != rhs:
+            holds = False
+            witnesses.append(
+                {"mu": mu, "mu_dom": mu_dom, "f": value, "rhs": rhs, "kind": "converse"}
+            )
+            continue
+        if value == rhs:
+            expected = (
+                lv.weakly_increasing(lam)
+                and mu == lv.w0_m(lam, levi)
+                and mu_dom == lv.w0_g(lam)
+            )
+            witnesses.append(
+                {
+                    "mu": mu,
+                    "mu_dom": mu_dom,
+                    "f": value,
+                    "rhs": rhs,
+                    "kind": "equality",
+                    "expected_configuration": expected,
+                    "lam_antidominant_g": lv.weakly_increasing(lam),
+                    "lam_antidominant_m": lv.is_dominant_m(tuple(-x for x in lam), levi),
+                }
+            )
+            if antistandard and not expected:
+                holds = False
+    return {"holds": holds, "antistandard": antistandard, "witnesses": witnesses}
+
+
+def oracle_sweep(levi, lam_bound, nu_bound):
+    nus = list(decreasing_tuples(levi.n, -nu_bound, nu_bound))
+    total = 0
+    equalities = []
+    failures = []
+    for lam in product(range(-lam_bound, lam_bound + 1), repeat=levi.n):
+        for nu in nus:
+            if sum(nu) != sum(lam):
+                continue
+            report = oracle_verify_inequality(lam, nu, levi)
+            total += 1
+            for w in report["witnesses"]:
+                if w["kind"] == "equality":
+                    equalities.append((lam, nu, w["mu"], w["mu_dom"], w["f"], w["rhs"]))
+            if not report["holds"]:
+                failures.append((lam, nu, report))
+    failures.sort(key=lambda item: (item[0], item[1]))
+    return {
+        "levi": str(levi),
+        "antistandard": lv.is_antistandard(levi),
+        "pairs_checked": total,
+        "equalities": sorted(equalities),
+        "failures": failures,
+        "holds": not failures,
+    }
 
 
 def test_block_levi_validation():
@@ -213,3 +343,61 @@ def test_rearrangement_mismatch_fails_with_witness(monkeypatch):
     assert not report["holds"]
     assert [w["kind"] for w in report["witnesses"]] == ["mismatch"]
     assert report["witnesses"][0]["mu"] == (-1, 0)
+
+
+def test_fixed_sum_tuples_match_filtered_box():
+    for length in range(6):
+        for lo in range(-3, 4):
+            for hi in range(lo, 4):
+                box = list(decreasing_tuples(length, lo, hi))
+                for total in range(length * lo - 2, length * hi + 3):
+                    expected = [t for t in box if sum(t) == total]
+                    assert list(lv._fixed_sum_tuples(length, lo, hi, total)) == expected
+
+
+def test_sweep_matches_slow_oracle():
+    cases = [(levi, bound) for levi in BLOCK_LEVIS for bound in (0, 1)]
+    cases += [(levi, 2) for levi in BLOCK_LEVIS if lv.is_antistandard(levi)]
+    for levi, bound in cases:
+        assert lv.sweep_inequality(levi, bound, bound) == oracle_sweep(levi, bound, bound), (
+            str(levi), bound,
+        )
+
+
+def test_entry_points_match_slow_oracle():
+    rng = random.Random(6)
+    for levi in BLOCK_LEVIS:
+        n = levi.n
+        for _ in range(25):
+            lam = tuple(rng.randint(-2, 2) for _ in range(n))
+            same_sum = [nu for nu in decreasing_tuples(n, -3, 3) if sum(nu) == sum(lam)]
+            for nu in (rng.choice(same_sum), tuple(sorted(lam, reverse=True)), (n,) + (0,) * (n - 1)):
+                assert lv.j_set(lam, nu, levi) == oracle_j_set(lam, nu, levi)
+                assert lv.verify_inequality(lam, nu, levi) == oracle_verify_inequality(lam, nu, levi)
+    # the same errors, raised in the same order
+    for lam, nu in [((0,), (0, 0)), ((0, 0, 0), (0, 0)), ((0, 0), (0,)), ((0, 0), (0, 1))]:
+        for new, old in ((lv.j_set, oracle_j_set), (lv.verify_inequality, oracle_verify_inequality)):
+            with pytest.raises(ValueError) as fast:
+                new(lam, nu, TORUS2)
+            with pytest.raises(ValueError) as slow:
+                old(lam, nu, TORUS2)
+            assert str(fast.value) == str(slow.value)
+
+
+def test_sweep_sees_rebound_f_val(monkeypatch):
+    # the kernel's caches live for one sweep, so the next sweep reads the new f_val
+    real_f = lv.f_val
+    kinds = set()
+    for levi in (INTER4, STD4):
+        before = lv.sweep_inequality(levi, 1, 1)
+        assert before["holds"]
+        for shift in (-1, 1):
+            monkeypatch.setattr(lv, "f_val", lambda mu, levi, shift=shift: real_f(mu, levi) + shift)
+            after = lv.sweep_inequality(levi, 1, 1)
+            assert after != before
+            assert after == oracle_sweep(levi, 1, 1)
+            kinds |= {w["kind"] for _, _, report in after["failures"] for w in report["witnesses"]}
+            monkeypatch.setattr(lv, "f_val", real_f)
+    # f one below misses the converse; one above breaks only the first
+    # arrangement of the bound
+    assert kinds == {"converse", "mismatch"}
