@@ -44,6 +44,7 @@ from .flagcount import (
     QRat,
     aut_order_poly,
     collided_fiber_mass,
+    collided_mass_top,
     count_flags_brute,
     count_flags_poly,
     fiber_mass,

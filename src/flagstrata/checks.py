@@ -93,7 +93,10 @@ def _brute_count_sweep(bounds, jobs):
 def _mass_sweep(bounds, jobs):
     for d in range(bounds["mass_d"] + 1):
         for dp in range(d, bounds["mass_d"] + 1):
-            _, deg, lead = fc.collided_fiber_mass(d, dp)
+            try:
+                deg, lead = fc.collided_mass_top(d, dp)
+            except fc.MassPremiseError as exc:
+                return d, dp, exc.mu, exc.mup
             if deg != -dp or lead != st.pairing_count(d, dp):
                 return d, dp
     return None

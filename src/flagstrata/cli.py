@@ -162,11 +162,18 @@ def cmd_fibermass(args, bounds):
     d, dp = args.d, args.dp
     if not 0 <= d <= dp:
         raise ConfigError("need 0 <= d <= dp")
-    _, deg, lead = fc.collided_fiber_mass(d, dp)
+    header = ("d", "dp", "degree", "leading", "pairings", "match")
     expected = st.pairing_count(d, dp)
+    try:
+        deg, lead = fc.collided_mass_top(d, dp)
+    except fc.MassPremiseError as exc:
+        rows = [(d, dp, "-", "-", expected, False)]
+        witness = {"mu": list(exc.mu), "mup": list(exc.mup), "leading": str(exc.leading)}
+        payload = [dict(zip(header, rows[0]), premise_failure=witness)]
+        rows.append(("mass-premise-failed", exc.mu, exc.mup, exc.leading, "-", "-"))
+        return header, rows, False, payload
     ok = deg == -dp and lead == expected
-    rows = [(d, dp, deg, lead, expected, ok)]
-    return ("d", "dp", "degree", "leading", "pairings", "match"), rows, ok, None
+    return header, [(d, dp, deg, lead, expected, ok)], ok, None
 
 
 def cmd_orbits(args, bounds):

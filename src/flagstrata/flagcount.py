@@ -283,7 +283,8 @@ def aut_order_poly(mu) -> QPoly:
         for k in range(1, mult + 1):
             poly = poly * (QPoly.q_power(k) - ONE)
             exponent -= k
-    assert exponent >= 0
+    if exponent < 0:
+        raise ValueError(f"Aut order of type {mu} has negative q-exponent {exponent}")
     return QPoly.q_power(exponent) * poly
 
 
@@ -406,14 +407,31 @@ def fiber_mass(mu, mup) -> QRat:
     )
 
 
+class MassPremiseError(Exception):
+    """A fiber mass term is zero or has a non-positive leading coefficient.
+
+    collided_mass_top reads the total mass from the terms' own Laurent tops,
+    which is exact only when no terms cancel as q -> infinity.
+    """
+
+    def __init__(self, mu: tuple[int, ...], mup: tuple[int, ...], leading: Fraction):
+        super().__init__(
+            f"fiber mass of ({mu}, {mup}) has leading coefficient {leading}, "
+            "so terms could cancel at q -> infinity"
+        )
+        self.mu = mu
+        self.mup = mup
+        self.leading = leading
+
+
 def collided_fiber_mass(d: int, dp: int) -> tuple[QRat, int, int | Fraction]:
-    """Total groupoid mass over all module types of degrees (d, d').
+    """Total groupoid mass over all module types of degrees (d, d'), summed exactly.
 
     Returns (mass, degree, leading coefficient).  The leading coefficient is
     exact: an int when it is integral, else a Fraction, which then equals no
     pairing count.  The degree must be -d' and the leading coefficient must
-    equal the number of pairings of d pairs and d'-d singletons; callers
-    check both.
+    equal the number of pairings of d pairs and d'-d singletons.  This is the
+    exact pairwise QRat sum: the tests compare collided_mass_top against it.
     """
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
@@ -423,6 +441,32 @@ def collided_fiber_mass(d: int, dp: int) -> tuple[QRat, int, int | Fraction]:
             mass = mass + fiber_mass(mu, mup)
     leading = mass.leading
     return mass, mass.degree, leading.numerator if leading.denominator == 1 else leading
+
+
+def collided_mass_top(d: int, dp: int) -> tuple[int, int | Fraction]:
+    """(degree, leading coefficient) of the total mass of degrees (d, d').
+
+    Every term has a positive leading coefficient, so none cancel as
+    q -> infinity: the total's degree is the largest term degree and its
+    leading coefficient is the sum of the term leadings at that degree.
+    Raises MassPremiseError on a zero term or a non-positive leading
+    coefficient.  The leading coefficient is an int when integral, else a
+    Fraction, as in collided_fiber_mass.
+    """
+    if not 0 <= d <= dp:
+        raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
+    degree, leading = None, Fraction(0)
+    for mu in partitions(d):
+        for mup in partitions(dp):
+            term = fiber_mass(mu, mup)
+            top = Fraction(0) if term.is_zero() else term.leading
+            if top <= 0:
+                raise MassPremiseError(mu, mup, top)
+            if degree is None or term.degree > degree:
+                degree, leading = term.degree, top
+            elif term.degree == degree:
+                leading += top
+    return degree, leading.numerator if leading.denominator == 1 else leading
 
 
 def groupoid_dim_check(mu) -> bool:

@@ -351,6 +351,55 @@ def test_non_integral_leading_fails_under_optimize():
     assert lines[3:] == ["1", "(0, 0)"]
 
 
+def test_collided_mass_top_matches_exact_sum():
+    # the exact pairwise QRat sum is the slow oracle for the per-term tops
+    for dp in range(7):
+        for d in range(dp + 1):
+            assert fc.collided_mass_top(d, dp) == fc.collided_fiber_mass(d, dp)[1:], (d, dp)
+    for d, dp in [(6, 8), (8, 8), (6, 10), (10, 10)]:
+        assert fc.collided_mass_top(d, dp) == (-dp, pairing_count(d, dp))
+
+
+@pytest.mark.parametrize(
+    "bad_term",
+    [
+        "fc.QRat(fc.QPoly((0, -1)), fc.QPoly((0, 0, 1)))",  # leading -1 at degree -1
+        "fc.QRat(fc.QPoly(), fc.ONE)",  # the zero mass
+    ],
+    ids=["negative-leading", "zero-term"],
+)
+def test_mass_premise_failure_under_optimize(bad_term):
+    done = _run_python(
+        "from flagstrata import checks, cli, flagcount as fc\n"
+        "exact = fc.fiber_mass\n"
+        f"fc.fiber_mass = lambda mu, mup: {bad_term} if (mu, mup) == ((1,), (1,)) else exact(mu, mup)\n"
+        "print(cli.main(['fibermass', '1', '1']))\n"
+        "run = {check.name: check.run for check in checks.CHECKS}\n"
+        "print(run['collided-mass-degree-and-leading'](dict(checks.DEFAULT_BOUNDS, mass_d=1), 1))\n",
+        "-O",
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[1].split("\t") == ["1", "1", "-", "-", "1", "False"]
+    assert lines[2].split("\t")[:3] == ["mass-premise-failed", "(1,)", "(1,)"]
+    assert lines[3:] == ["1", "(1, 1, (1,), (1,))"]
+
+
+def test_negative_aut_exponent_raises_under_optimize():
+    done = _run_python(
+        "from flagstrata import flagcount as fc\n"
+        "fc.conjugate = lambda mu: ()\n"
+        "fc.aut_order_poly.cache_clear()\n"
+        "try:\n"
+        "    print(fc.aut_order_poly((1, 1)))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n",
+        "-O",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "Aut order of type (1, 1) has negative q-exponent -3"
+
+
 def test_groupoid_dim_check():
     for mu in [(1, 1), (4,), (2, 1), (3, 2, 1), ()]:
         assert fc.groupoid_dim_check(mu)
