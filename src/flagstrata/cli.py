@@ -202,7 +202,10 @@ def cmd_orbits(args, bounds):
 
 
 def cmd_levi(args, bounds):
-    levi = lv.parse_blocks(args.n, args.blocks)
+    try:
+        levi = lv.parse_blocks(args.n, args.blocks)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(str(exc)) from exc
     if args.lam_bound < 0 or args.nu_bound < 0:
         raise ConfigError("bounds must be >= 0")
     res = lv.sweep_inequality(levi, args.lam_bound, args.nu_bound, jobs=args.jobs)
@@ -336,9 +339,12 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         header, rows, ok, payload = COMMANDS[args.command](args, bounds)
-    except (ConfigError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a formula fault inside a verification, not bad config
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit(rows, header, args.format, payload)
     return 0 if ok else 1
 

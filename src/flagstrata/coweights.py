@@ -28,10 +28,6 @@ LATTICE_CLASSES = (
 )
 
 
-def degree(v: Vec) -> int:
-    return sum(v)
-
-
 def pairing(a: Vec, b: Vec) -> int:
     """Standard inner product <a, b> = sum a_i b_i."""
     if len(a) != len(b):

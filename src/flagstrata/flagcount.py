@@ -33,10 +33,6 @@ class QPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def const(cls, c: int) -> "QPoly":
-        return cls((c,))
-
-    @classmethod
     def q_power(cls, e: int) -> "QPoly":
         if e < 0:
             raise ValueError("negative power")

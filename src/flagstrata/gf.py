@@ -93,14 +93,13 @@ class SubspaceLattice(NamedTuple):
     """Every subspace of F_q^n, ids in breadth-first order from the zero space.
 
     spaces[s] is the frozenset of vector indices of subspace s, ids inverts
-    it, covers[s] lists the ids of the subspaces one dimension above s (empty
-    only for the whole space), and bases[s] is a basis of s.
+    it, and covers[s] lists the ids of the subspaces one dimension above s
+    (empty only for the whole space).
     """
 
     spaces: tuple[frozenset[int], ...]
     ids: dict[frozenset[int], int]
     covers: tuple[tuple[int, ...], ...]
-    bases: tuple[Matrix, ...]
 
     def image(self, vmap: tuple[int, ...]) -> tuple[int, ...]:
         """The id of the image of every subspace under an invertible vector_map."""
@@ -123,9 +122,8 @@ def subspace_lattice(n: int, q: int) -> SubspaceLattice:
     ]
     spaces = [frozenset({0})]
     ids = {spaces[0]: 0}
-    bases: list[Matrix] = [()]
     covers = []
-    for s, space in enumerate(spaces):  # spaces grows as new subspaces are met
+    for space in spaces:  # spaces grows as new subspaces are met
         seen = set(space)
         up = []
         for x, v in enumerate(vectors):
@@ -137,10 +135,9 @@ def subspace_lattice(n: int, q: int) -> SubspaceLattice:
             if cover not in ids:
                 ids[cover] = len(spaces)
                 spaces.append(cover)
-                bases.append(bases[s] + (v,))
             up.append(ids[cover])
         covers.append(tuple(up))
-    return SubspaceLattice(tuple(spaces), ids, tuple(covers), tuple(bases))
+    return SubspaceLattice(tuple(spaces), ids, tuple(covers))
 
 
 def nullspace_basis(rows, q: int) -> list[Vector]:

@@ -13,8 +13,6 @@ from itertools import combinations
 from . import gf
 from .strata import Involution, enumerate_pairings, pairing_to_involution
 
-Flag = tuple[gf.Matrix, ...]
-
 ORBIT_LIMIT = {2: 5, 3: 4}
 
 
@@ -55,8 +53,9 @@ def _pairs_with_inside(d: int, dp: int, hi_inside: bool) -> list[tuple[Involutio
 # flags over F_q
 
 
-def _chains(lattice: gf.SubspaceLattice) -> list[tuple[int, ...]]:
-    """Every complete flag as the ids of its subspaces of dimension 1..n."""
+def all_flags(n: int, q: int) -> list[tuple[int, ...]]:
+    """Every complete flag in F_q^n as the lattice ids of its subspaces of dimension 1..n."""
+    lattice = gf.subspace_lattice(n, q)
     chains: list[tuple[int, ...]] = []
 
     def extend(chain: tuple[int, ...], top: int):
@@ -67,18 +66,6 @@ def _chains(lattice: gf.SubspaceLattice) -> list[tuple[int, ...]]:
 
     extend((), 0)
     return chains
-
-
-def _decode(chains, lattice: gf.SubspaceLattice, q: int) -> list[Flag]:
-    """Chains of subspace ids as flags, echelonizing each subspace once."""
-    echelon = [gf.rref(basis, q) for basis in lattice.bases]
-    return [tuple(echelon[s] for s in chain) for chain in chains]
-
-
-def all_flags(n: int, q: int) -> list[Flag]:
-    """Every complete flag in F_q^n, each subspace in canonical echelon form."""
-    lattice = gf.subspace_lattice(n, q)
-    return _decode(_chains(lattice), lattice, q)
 
 
 def flag_total(n: int, q: int) -> int:
@@ -136,7 +123,7 @@ class UnionFind:
         return out
 
 
-def orbit_decomposition(d: int, dp: int, q: int) -> list[list[Flag]]:
+def orbit_decomposition(d: int, dp: int, q: int) -> list[list[tuple[int, ...]]]:
     """Orbits of the block subgroup on complete flags, by union-find closure."""
     if q not in ORBIT_LIMIT:
         raise ValueError("only q = 2 and q = 3 are supported")
@@ -144,15 +131,14 @@ def orbit_decomposition(d: int, dp: int, q: int) -> list[list[Flag]]:
     if n > ORBIT_LIMIT[q]:
         raise ValueError(f"orbit enumeration capped at dimension {ORBIT_LIMIT[q]} for q={q}")
     lattice = gf.subspace_lattice(n, q)
-    chains = _chains(lattice)
+    chains = all_flags(n, q)
     index = {chain: i for i, chain in enumerate(chains)}
     uf = UnionFind(len(chains))
     for g in block_group_generators(d, dp, q):
         image = lattice.image(gf.vector_map(g, n, q))
         for chain, i in index.items():
             uf.union(i, index[tuple(image[s] for s in chain)])
-    flags = _decode(chains, lattice, q)
-    return [[flags[i] for i in members] for members in uf.groups().values()]
+    return [[chains[i] for i in members] for members in uf.groups().values()]
 
 
 def k_orbits(d: int, dp: int, q: int) -> int:

@@ -50,11 +50,6 @@ class SymPoly:
     def one(cls, nvars: int) -> "SymPoly":
         return cls(nvars, {(0,) * nvars: 1})
 
-    @classmethod
-    def from_monomials(cls, nvars: int, mono: dict[Exponent, int]) -> "SymPoly":
-        """Build from a full (symmetric) monomial dict by keeping dominant keys."""
-        return cls(nvars, {k: c for k, c in mono.items() if weakly_decreasing(k)})
-
     def full_monomials(self) -> dict[Exponent, int]:
         out: dict[Exponent, int] = {}
         for key, coeff in self.terms.items():

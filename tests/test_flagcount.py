@@ -387,17 +387,20 @@ def test_mass_premise_failure_under_optimize(bad_term):
 
 def test_negative_aut_exponent_raises_under_optimize():
     done = _run_python(
-        "from flagstrata import flagcount as fc\n"
+        "from flagstrata import cli, flagcount as fc\n"
         "fc.conjugate = lambda mu: ()\n"
         "fc.aut_order_poly.cache_clear()\n"
         "try:\n"
         "    print(fc.aut_order_poly((1, 1)))\n"
         "except ValueError as exc:\n"
-        "    print(exc)\n",
+        "    print(exc)\n"
+        "print(cli.main(['fibermass', '1', '1']))\n",
         "-O",
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "Aut order of type (1, 1) has negative q-exponent -3"
+    assert done.stdout.splitlines() == ["Aut order of type (1, 1) has negative q-exponent -3", "1"]
+    # a formula fault inside a verification fails it (exit 1); it is not bad config
+    assert done.stderr == "error: Aut order of type (1,) has negative q-exponent -1\n"
 
 
 def test_groupoid_dim_check():

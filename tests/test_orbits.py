@@ -85,23 +85,34 @@ def _echelon_orbits(d, dp, q):
     return [[flags[i] for i in members] for members in uf.groups().values()]
 
 
+def _echelon_decoder(n, q):
+    """Each chain of lattice ids as the tuple of RREF matrices of its subspaces."""
+    vectors = list(gf.all_vectors(n, q))
+    spaces = gf.subspace_lattice(n, q).spaces
+    echelon = [gf.rref([vectors[x] for x in space], q) for space in spaces]
+    return lambda chain: tuple(echelon[s] for s in chain)
+
+
 def test_lattice_flags_match_echelon_oracle():
     for q, cap in ((2, 4), (3, 3)):
         for n in range(cap + 1):
-            assert ob.all_flags(n, q) == _echelon_flags(n, q), (n, q)
+            decode = _echelon_decoder(n, q)
+            assert [decode(chain) for chain in ob.all_flags(n, q)] == _echelon_flags(n, q), (n, q)
         for total in range(cap + 1):
+            decode = _echelon_decoder(total, q)
             for d in range(total + 1):
-                got = {frozenset(orbit) for orbit in ob.orbit_decomposition(d, total - d, q)}
+                orbits = ob.orbit_decomposition(d, total - d, q)
+                got = {frozenset(map(decode, orbit)) for orbit in orbits}
                 want = {frozenset(orbit) for orbit in _echelon_orbits(d, total - d, q)}
                 assert got == want, (d, total - d, q)
 
 
 def test_flags_are_strict_chains():
+    spaces = gf.subspace_lattice(3, 2).spaces
     for flag in ob.all_flags(3, 2):
-        dims = [len(sub) for sub in flag]
-        assert dims == [1, 2, 3]
+        assert [len(spaces[s]) for s in flag] == [2, 4, 8]
         for small, large in zip(flag, flag[1:]):
-            assert all(gf.in_span(large, v, 2) for v in small)
+            assert spaces[small] < spaces[large]
 
 
 def test_generators_are_invertible():
