@@ -129,7 +129,7 @@ def cmd_strata(args, bounds):
         rows.append(("character-not-class-function", _fmt_vec(exc.ctype), *witness, "-"))
     for ctype, value in sorted(characters.items(), reverse=True):
         rows.append(("character", _fmt_vec(ctype), value, "-", "-"))
-    induced_ok = st.verify_induced_realization(d, dp) if d + dp <= 7 else "skipped"
+    induced_ok = st.verify_induced_realization(d, dp) if d + dp <= st.PERM_SWEEP_MAX_DEGREE else "skipped"
     if induced_ok is False:
         ok = False
     rows.append(("induced-model-match", induced_ok, "-", "-", "-"))

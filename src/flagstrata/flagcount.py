@@ -139,21 +139,6 @@ class QRat:
         """First Laurent coefficient of the expansion at q -> infinity."""
         return Fraction(self.num.leading, self.den.leading)
 
-    def laurent_top(self, k: int) -> list[Fraction]:
-        """Top k Laurent coefficients at q -> infinity, by exact long division."""
-        if self.is_zero():
-            return [Fraction(0)] * k
-        num = list(reversed(self.num.coeffs))  # descending
-        den = list(reversed(self.den.coeffs))
-        out: list[Fraction] = []
-        work = [Fraction(c) for c in num] + [Fraction(0)] * k
-        for t in range(k):
-            c = work[t] / den[0]
-            out.append(c)
-            for j, d in enumerate(den):
-                work[t + j] -= c * d
-        return out
-
     def __add__(self, other: "QRat") -> "QRat":
         return QRat(self.num * other.den + other.num * self.den, self.den * other.den)
 

@@ -151,21 +151,6 @@ def leq_g(lam: Vec, mu: Vec) -> bool:
     return True
 
 
-def leq_m(lam: Vec, mu: Vec, levi: BlockLevi) -> bool:
-    """Blockwise version of leq_g along each block's induced order."""
-    if len(lam) != len(mu) or len(lam) != levi.n:
-        raise ValueError("length mismatch")
-    for block in levi.blocks:
-        run = 0
-        for p in block:
-            run += mu[p - 1] - lam[p - 1]
-            if run < 0:
-                return False
-        if run != 0:
-            return False
-    return True
-
-
 def w0_g(lam: Vec) -> Vec:
     """Longest-element action: reverse the coordinates."""
     return tuple(reversed(lam))
@@ -198,8 +183,8 @@ def j_set(lam: Vec, nu: Vec, levi: BlockLevi) -> list[Vec]:
     such blocks is then tested against nu literally.
     """
     _check_pair(lam, nu, levi)
-    kernel = _LeviKernel(levi)
-    return kernel.squeeze(kernel.tops(lam), nu)
+    candidates = _LeviKernel(levi).candidates(lam, min(nu), max(nu))
+    return [mu for mu in candidates if leq_g(dom_g(mu), nu)]
 
 
 def _check_pair(lam: Vec, nu: Vec, levi: BlockLevi) -> None:
@@ -246,20 +231,22 @@ def verify_inequality(lam: Vec, nu: Vec, levi: BlockLevi) -> dict:
     set, the bound must be attained there; otherwise a "converse" witness
     fails the check.
     """
+    kernel = _LeviKernel(levi)
     # the bound <lam, gap> comes first, so a lam of the wrong length is
     # reported by pairing before nu is looked at
-    verify = _LeviKernel(levi).verifier(lam)
+    witnesses = kernel.witnesses(lam)
     _check_pair(lam, nu, levi)
-    return verify(nu)
+    return kernel.report(witnesses(min(nu), max(nu)), nu)
 
 
 class _LeviKernel:
     """What a sweep over one Levi computes once and reuses.
 
     The rho vectors, their gap and the antistandard flag are fixed by the
-    Levi.  The squeeze set depends on lam only through dom_m(lam), so it is
-    cached on (dom_m(lam), nu), built from per-block choices cached on
-    (block values, lo, hi).  f and the dominant sort are cached per mu.  A
+    Levi.  The candidates of a lam are built from per-block choices cached on
+    (block values, lo, hi), and f and the dominant sort are cached per mu.
+    Each lam judges its candidates once, over the whole nu range, and keeps
+    the mu that have a witness; a report at nu is the kept mu below nu.  A
     kernel lives for one sweep chunk or one public call, so nothing is kept
     across sweeps.  It calls f_val and pairing through the module globals: a
     rebound f_val or pairing takes effect from the next sweep on.
@@ -273,18 +260,13 @@ class _LeviKernel:
         self.antistandard = is_antistandard(levi)
         self._index = [[p - 1 for p in block] for block in levi.blocks]
         self._choices: dict = {}
-        self._squeeze: dict = {}
         self._f: dict = {}
-
-    def tops(self, lam: Vec) -> tuple[Vec, ...]:
-        """dom_m(lam) as one weakly decreasing tuple per block."""
-        return tuple(tuple(sorted((lam[i] for i in index), reverse=True)) for index in self._index)
 
     def block_choices(self, top: Vec, lo: int, hi: int) -> list[Vec]:
         """Decreasing tuples in [lo, hi] with the sum of top that lie above it.
 
-        Above is leq_g along the block, which is how leq_m(dom_m(lam), mu)
-        factors over the blocks.
+        Above is leq_g along the block, which is how the blockwise order of
+        mu over dom_m(lam) factors over the blocks.
         """
         key = (top, lo, hi)
         found = self._choices.get(key)
@@ -293,16 +275,16 @@ class _LeviKernel:
             self._choices[key] = found
         return found
 
-    def squeeze(self, tops: tuple[Vec, ...], nu: Vec) -> list[Vec]:
-        """j_set for the lam whose dom_m is tops; a total other than sum(nu) fails leq_g."""
-        key = (tops, nu)
-        found = self._squeeze.get(key)
-        if found is None:
-            lo, hi = min(nu), max(nu)
-            per_block = [self.block_choices(top, lo, hi) for top in tops]
-            mus = (_place(self.levi, combo) for combo in product(*per_block))
-            found = self._squeeze[key] = sorted(mu for mu in mus if leq_g(dom_g(mu), nu))
-        return found
+    def candidates(self, lam: Vec, lo: int, hi: int) -> list[Vec]:
+        """Sorted Levi-dominant mu with entries in [lo, hi] above lam blockwise.
+
+        For a dominant nu with lo <= min(nu) and max(nu) <= hi, the squeeze
+        set of (lam, nu) is the candidates with leq_g(dom_g(mu), nu): that
+        test forces equal sums and the entries of mu into [min nu, max nu].
+        """
+        tops = (tuple(sorted((lam[i] for i in index), reverse=True)) for index in self._index)
+        per_block = [self.block_choices(top, lo, hi) for top in tops]
+        return sorted(_place(self.levi, combo) for combo in product(*per_block))
 
     def f_and_dom(self, mu: Vec) -> tuple:
         """(f_val(mu), dom_g(mu)); f_val is called at most once per mu."""
@@ -311,21 +293,18 @@ class _LeviKernel:
             found = self._f[mu] = (f_val(mu, self.levi), dom_g(mu))
         return found
 
-    def verifier(self, lam: Vec):
-        """verify_inequality(lam, ., levi) as a function of nu.
+    def witnesses(self, lam: Vec):
+        """The witness list of lam as a function of the range [lo, hi].
 
-        The verdict on each mu depends on lam and mu only, so it is kept for
-        every nu of this lam; each report gets its own witness dicts.
+        It holds (witness, ok) for each candidate mu, in sorted order, that
+        has a witness; a mu without one adds nothing to any report.
         """
         levi = self.levi
         rhs = pairing(lam, self.rho_gap)
         antidominant = weakly_increasing(lam)
-        reversed_m = w0_m(lam, levi)
-        reversed_g = w0_g(lam)
-        mu_star = reversed_m if self.antistandard and antidominant else None
-        antidominant_m = is_dominant_m(tuple(-x for x in lam), levi)
-        tops = self.tops(lam)
-        verdicts: dict = {}
+        # only an antidominant lam has an expected configuration or a converse
+        reversed_m, reversed_g = (w0_m(lam, levi), w0_g(lam)) if antidominant else (None, None)
+        mu_star = reversed_m if self.antistandard else None
 
         def judge(mu):
             value, mu_dom = self.f_and_dom(mu)
@@ -347,23 +326,26 @@ class _LeviKernel:
             found["kind"] = "equality"
             found["expected_configuration"] = expected
             found["lam_antidominant_g"] = antidominant
-            found["lam_antidominant_m"] = antidominant_m
+            found["lam_antidominant_m"] = is_dominant_m(tuple(-x for x in lam), levi)
             return found, expected or not self.antistandard
 
-        def verify(nu: Vec) -> dict:
-            holds = True
-            witnesses = []
-            for mu in self.squeeze(tops, nu):
-                verdict = verdicts.get(mu)
-                if verdict is None:
-                    verdict = verdicts[mu] = judge(mu)
-                found, ok = verdict
-                if found is not None:
-                    witnesses.append(dict(found))
-                holds = holds and ok
-            return {"holds": holds, "antistandard": self.antistandard, "witnesses": witnesses}
+        def kept(lo: int, hi: int) -> list[tuple[dict, bool]]:
+            verdicts = (judge(mu) for mu in self.candidates(lam, lo, hi))
+            return [verdict for verdict in verdicts if verdict[0] is not None]
 
-        return verify
+        return kept
+
+    def report(self, kept: list[tuple[dict, bool]], nu: Vec) -> dict:
+        """verify_inequality's report at nu: the kept witnesses whose mu is below nu.
+
+        Each report gets its own witness dicts.
+        """
+        below = [(found, ok) for found, ok in kept if leq_g(found["mu_dom"], nu)]
+        return {
+            "holds": all(ok for _, ok in below),
+            "antistandard": self.antistandard,
+            "witnesses": [dict(found) for found, _ in below],
+        }
 
 
 def _sweep_chunk(payload) -> tuple[bool, int, list, list]:
@@ -377,10 +359,11 @@ def _sweep_chunk(payload) -> tuple[bool, int, list, list]:
         s = sum(lam)
         if s not in nus_by_sum:
             nus_by_sum[s] = list(_fixed_sum_tuples(n, -nu_bound, nu_bound, s))
-        verify = kernel.verifier(lam)
-        for nu in nus_by_sum[s]:
-            report = verify(nu)
-            total += 1
+        total += len(nus_by_sum[s])
+        kept = kernel.witnesses(lam)(-nu_bound, nu_bound)
+        # an empty witness list holds at every nu and reports nothing
+        for nu in nus_by_sum[s] if kept else ():
+            report = kernel.report(kept, nu)
             for w in report["witnesses"]:
                 if w["kind"] == "equality":
                     equalities.append(

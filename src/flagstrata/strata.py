@@ -7,8 +7,8 @@ of length n with p[i-1] = image of i.
 
 Characters are class functions, so the invariant dimensions and the induced
 character are sums over cycle types weighted by class size, not over all n!
-permutations.  verify_induced_realization (n <= 7) and character_table keep
-the per-permutation sweep as the oracle for them.
+permutations.  Up to degree PERM_SWEEP_MAX_DEGREE, verify_induced_realization
+and character_table keep the per-permutation sweep as the oracle for them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .coweights import partitions
 
 Perm = tuple[int, ...]
 Pairing = tuple[tuple[int, ...], ...]
+
+# the largest d + d' whose symmetric group is swept one permutation at a time
+PERM_SWEEP_MAX_DEGREE = 7
 
 
 class Involution:
@@ -359,8 +362,8 @@ def verify_induced_realization(d: int, dp: int) -> bool:
     basis at each sigma, independently of the class sums behind the induced
     character.
     """
-    if d + dp > 7:
-        raise ValueError("full symmetric group sweep capped at degree 7")
+    if d + dp > PERM_SWEEP_MAX_DEGREE:
+        raise ValueError(f"full symmetric group sweep capped at degree {PERM_SWEEP_MAX_DEGREE}")
     return all(
         ind_character(sigma, d, dp) == induced_character(sigma, d, dp)
         for sigma in all_perms(d + dp)
@@ -392,11 +395,14 @@ def invariants_dim(d: int, dp: int, r: int) -> int | Fraction:
 
 
 def character_table(d: int, dp: int) -> dict[tuple[int, ...], int]:
-    """Signed pairing character by cycle type, checked at every permutation.
+    """Signed pairing character by cycle type.
 
-    Raises ClassFunctionError when two permutations of one cycle type have
-    different traces.
+    Up to degree PERM_SWEEP_MAX_DEGREE it is checked at every permutation and
+    raises ClassFunctionError when two permutations of one cycle type have
+    different traces; above, it is the trace at one permutation per type.
     """
+    if d + dp > PERM_SWEEP_MAX_DEGREE:
+        return dict(_character_by_type(d, dp))
     table: dict[tuple[int, ...], tuple[Perm, int]] = {}
     for sigma in all_perms(d + dp):
         ctype = cycle_type(sigma)

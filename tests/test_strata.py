@@ -104,6 +104,19 @@ def test_character_table_values():
     assert st.character_table(0, 2) == {(1, 1): 1, (2,): 1}
 
 
+def test_character_table_above_sweep_cap(monkeypatch):
+    # above the cap the table is the trace at one permutation per cycle type
+    def no_sweep(n):
+        raise AssertionError(f"swept all of S_{n}")
+
+    monkeypatch.setattr(st, "all_perms", no_sweep)
+    assert st.PERM_SWEEP_MAX_DEGREE == 7
+    for d in range(5):
+        assert st.character_table(d, 8 - d) == st._character_by_type(d, 8 - d)
+    with pytest.raises(AssertionError):
+        st.character_table(3, 4)
+
+
 def test_induced_realization():
     for total in range(7):
         for d in range(total // 2 + 1):
