@@ -3,16 +3,19 @@
 Symmetric polynomials are stored in the monomial symmetric basis: a map from
 dominant exponent vectors (weakly decreasing, fixed length, nonnegative) to
 integer coefficients, each key standing for its full orbit of monomials.
-Schur polynomials come from semistandard tableau enumeration, which doubles
-as the independent character oracle for every decomposition in this module.
+Schur polynomials come from the branching rule: a semistandard tableau is a
+chain of horizontal strips (a Gelfand-Tsetlin pattern), peeled one letter at
+a time, and only chains with dominant content are followed.  The character
+is the independent oracle for every decomposition in this module; tableau
+enumeration is kept in the tests as the slow oracle for the character.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, factorial
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial, prod
 
 from .coweights import (
     as_partition,
@@ -23,6 +26,30 @@ from .coweights import (
 )
 
 Exponent = tuple[int, ...]
+
+
+def _distinct_permutations(key: Exponent):
+    """Yield each distinct rearrangement of key once."""
+    counts = {value: key.count(value) for value in set(key)}
+    slots = [0] * len(key)
+
+    def place(i: int):
+        if i == len(slots):
+            yield tuple(slots)
+            return
+        for value, left in counts.items():
+            if left:
+                counts[value] = left - 1
+                slots[i] = value
+                yield from place(i + 1)
+                counts[value] = left
+
+    yield from place(0)
+
+
+def _orbit_size(key: Exponent) -> int:
+    """Number of distinct rearrangements of key."""
+    return factorial(len(key)) // prod(factorial(key.count(v)) for v in set(key))
 
 
 class SymPoly:
@@ -53,7 +80,7 @@ class SymPoly:
     def full_monomials(self) -> dict[Exponent, int]:
         out: dict[Exponent, int] = {}
         for key, coeff in self.terms.items():
-            for perm in set(permutations(key)):
+            for perm in _distinct_permutations(key):
                 out[perm] = coeff
         return out
 
@@ -97,29 +124,33 @@ class SymPoly:
         return out
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
+        """Product computed at dominant targets only.
+
+        With b the factor with fewer monomials, every dominant exponent of the
+        product is sort(ka + eb) for a key ka of a and a monomial eb of b, and
+        its coefficient is the sum of b[eb] * a[sort(e - eb)] over eb <= e.
+        """
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
-        full_a = self.full_monomials()
-        full_b = other.full_monomials()
-        if len(full_b) < len(full_a):
-            full_a, full_b = full_b, full_a
-        acc: dict[Exponent, int] = defaultdict(int)
-        for ea, ca in full_a.items():
+        a, b = self, other
+        if sum(map(_orbit_size, b.terms)) > sum(map(_orbit_size, a.terms)):
+            a, b = b, a
+        full_b = b.full_monomials()
+        targets = {
+            tuple(sorted((x + y for x, y in zip(ka, eb)), reverse=True))
+            for ka in a.terms
+            for eb in full_b
+        }
+        acc: dict[Exponent, int] = {}
+        for e in targets:
+            total = 0
             for eb, cb in full_b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                if weakly_decreasing(e):
-                    acc[e] += ca * cb
+                diff = [x - y for x, y in zip(e, eb)]
+                if min(diff) < 0:
+                    continue
+                total += cb * a.terms.get(tuple(sorted(diff, reverse=True)), 0)
+            acc[e] = total
         return SymPoly(self.nvars, acc)
-
-    def eval_ones(self) -> int:
-        """Value at x_1 = ... = x_N = 1, counting each orbit with its size."""
-        total = 0
-        for key, coeff in self.terms.items():
-            orbit = factorial(self.nvars)
-            for value in set(key):
-                orbit //= factorial(key.count(value))
-            total += coeff * orbit
-        return total
 
     def leading(self) -> Exponent:
         if not self.terms:
@@ -134,55 +165,56 @@ class SymPoly:
 # basic characters
 
 
-def _ssyt_weights(shape: Exponent, nvars: int):
-    """Yield the content vector of every semistandard tableau of the shape."""
-    rows = len(shape)
-    weight = [0] * nvars
+def _strips(shape: Exponent, low: int, high: int):
+    """Yield (size, mu) for each horizontal strip shape/mu with low <= size <= high.
 
-    def fill(r: int, c: int, tableau):
-        if r == rows:
-            yield tuple(weight)
+    mu has one part fewer than shape and interlaces it, shape[i+1] <= mu[i] <=
+    shape[i]; the last row of shape always leaves whole.
+    """
+    rows = len(shape) - 1
+    mu = [0] * rows
+
+    def place(i: int, size: int):
+        if i == rows:
+            if size >= low:
+                yield size, tuple(mu)
             return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        low = tableau[r][c - 1] if c > 0 else 0
-        if r > 0:
-            low = max(low, tableau[r - 1][c] + 1)
-        for val in range(low, nvars):
-            tableau[r][c] = val
-            weight[val] += 1
-            yield from fill(nr, nc, tableau)
-            weight[val] -= 1
+        top = shape[i]
+        for value in range(max(shape[i + 1], top - (high - size)), top + 1):
+            mu[i] = value
+            yield from place(i + 1, size + top - value)
 
-    if rows == 0:
-        yield (0,) * nvars
-        return
-    tableau = [[0] * width for width in shape]
-    yield from fill(0, 0, tableau)
+    yield from place(0, shape[-1])
 
 
 @lru_cache(maxsize=None)
 def schur_poly(lam, nvars: int) -> SymPoly:
-    """Schur polynomial s_lam(x_1..x_N) by semistandard tableau enumeration."""
+    """Schur polynomial s_lam(x_1..x_N) by the branching rule on dominant weights.
+
+    s_lam(x_1..x_k) = sum over horizontal strips lam/mu of x_k^|lam/mu| s_mu(x_1..x_{k-1}).
+    Peeling x_N first, a dominant content needs each strip at least as large
+    as the one peeled before it, and no larger than |shape| / k.
+    """
     lam = as_partition(lam)
     if len(lam) > nvars:
         raise ValueError(f"{lam} has more than {nvars} parts; the character is zero")
-    acc: dict[Exponent, int] = defaultdict(int)
-    for weight in _ssyt_weights(lam, nvars):
-        if weakly_decreasing(weight):
-            acc[weight] += 1
-    return SymPoly(nvars, acc)
+    memo: dict[tuple[Exponent, int], dict[Exponent, int]] = {}
 
+    def contents(shape: Exponent, floor: int) -> dict[Exponent, int]:
+        # dominant contents (w_1..w_k), k = len(shape), with w_k >= floor
+        key = (shape, floor)
+        if key not in memo:
+            if not shape:
+                memo[key] = {(): 1}
+            else:
+                out: dict[Exponent, int] = defaultdict(int)
+                for size, mu in _strips(shape, floor, sum(shape) // len(shape)):
+                    for prefix, count in contents(mu, size).items():
+                        out[prefix + (size,)] += count
+                memo[key] = out
+        return memo[key]
 
-def schur_dim(lam, nvars: int) -> int:
-    """Dimension of the GL_N representation with highest weight lam (Weyl formula)."""
-    lam = pad(as_partition(lam), nvars)
-    num = den = 1
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    assert num % den == 0
-    return num // den
+    return SymPoly(nvars, contents(pad(lam, nvars), 0))
 
 
 def complete_homogeneous(k: int, nvars: int) -> SymPoly:

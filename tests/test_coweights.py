@@ -141,15 +141,6 @@ def test_fibration_dim_identity_examples():
     assert cw.fibration_dim_identity(1, 2, 3, 1) == (10, 10, True)
 
 
-def test_fibration_dim_identity_sweep():
-    for n in range(1, 5):
-        for d in range(6):
-            for dp in range(6):
-                for g in range(4):
-                    lhs, rhs, equal = cw.fibration_dim_identity(n, d, dp, g)
-                    assert equal and lhs == rhs
-
-
 def test_flag_dim_forms_agree():
     # literal binomial form vs telescoped form
     for size in range(7):

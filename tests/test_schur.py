@@ -1,14 +1,92 @@
-"""Schur calculus: tableau characters, Pieri strips, the multiplicity-free index.
+"""Schur calculus: branching characters, Pieri strips, the multiplicity-free index.
 
-The tableau enumeration inside schur_poly is itself the oracle for every
-decomposition test; dimensions are double-checked against the Weyl product
-formula, which shares no code with the tableau path.
+schur_poly builds each character from chains of horizontal strips.  The slow
+oracles live here and share no code with that path: semistandard tableau
+enumeration for the character, the full monomial-by-monomial expansion for
+SymPoly products, and the Weyl product formula for dimensions.
 """
+
+from collections import defaultdict
+from itertools import permutations
+from math import factorial
 
 import pytest
 
 from flagstrata import schur as sc
-from flagstrata.coweights import partitions
+from flagstrata.coweights import pad, partitions, weakly_decreasing
+
+
+def _ssyt_weights(shape, nvars):
+    """Yield the content vector of every semistandard tableau of the shape."""
+    rows = len(shape)
+    weight = [0] * nvars
+
+    def fill(r, c, tableau):
+        if r == rows:
+            yield tuple(weight)
+            return
+        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
+        low = tableau[r][c - 1] if c > 0 else 0
+        if r > 0:
+            low = max(low, tableau[r - 1][c] + 1)
+        for val in range(low, nvars):
+            tableau[r][c] = val
+            weight[val] += 1
+            yield from fill(nr, nc, tableau)
+            weight[val] -= 1
+
+    if rows == 0:
+        yield (0,) * nvars
+        return
+    tableau = [[0] * width for width in shape]
+    yield from fill(0, 0, tableau)
+
+
+def _tableau_character(lam, nvars):
+    """Dominant part of s_lam: tableaux counted by content, non-dominant ones dropped."""
+    acc = defaultdict(int)
+    for weight in _ssyt_weights(lam, nvars):
+        if weakly_decreasing(weight):
+            acc[weight] += 1
+    return dict(acc)
+
+
+def _full_product(a, b):
+    """Dominant part of a * b, multiplying every monomial of a by every monomial of b."""
+    full_a = {perm: c for key, c in a.terms.items() for perm in set(permutations(key))}
+    full_b = {perm: c for key, c in b.terms.items() for perm in set(permutations(key))}
+    acc = defaultdict(int)
+    for ea, ca in full_a.items():
+        for eb, cb in full_b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if weakly_decreasing(e):
+                acc[e] += ca * cb
+    return {e: c for e, c in acc.items() if c}
+
+
+def _weyl_dim(lam, nvars):
+    """Dimension of the GL_N representation with highest weight lam (Weyl formula)."""
+    lam = pad(lam, nvars)
+    num = den = 1
+    for i in range(nvars):
+        for j in range(i + 1, nvars):
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    dim, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"Weyl product {num}/{den} is not an integer")
+    return dim
+
+
+def _eval_ones(p):
+    """Value of p at x_1 = ... = x_N = 1, counting each orbit with its size."""
+    total = 0
+    for key, coeff in p.terms.items():
+        orbit = factorial(p.nvars)
+        for value in set(key):
+            orbit //= factorial(key.count(value))
+        total += coeff * orbit
+    return total
 
 
 def test_schur_poly_small():
@@ -23,18 +101,43 @@ def test_schur_poly_too_many_parts():
         sc.schur_poly((1, 1, 1), 2)
 
 
+def test_schur_poly_matches_tableau_oracle():
+    cells = 0
+    for nvars in range(1, 7):
+        for size in range(8):
+            for lam in partitions(size, max_parts=nvars):
+                assert sc.schur_poly(lam, nvars).terms == _tableau_character(lam, nvars), (lam, nvars)
+                cells += 1
+    assert cells == 183
+
+
+def test_sympoly_mul_matches_full_expansion():
+    cells = 0
+    for nvars in range(1, 5):
+        for size_a in range(5):
+            for lam_a in partitions(size_a, max_parts=nvars):
+                for size_b in range(4):
+                    for lam_b in partitions(size_b, max_parts=nvars):
+                        a, b = sc.schur_poly(lam_a, nvars), sc.schur_poly(lam_b, nvars)
+                        want = _full_product(a, b)
+                        assert (a * b).terms == want, (lam_a, lam_b, nvars)
+                        assert (b * a).terms == want, (lam_b, lam_a, nvars)
+                        cells += 1
+    assert cells == 235
+
+
 def test_schur_dimensions_match_weyl():
     for nvars in (2, 3, 4, 5):
         for size in range(6):
             for lam in partitions(size, max_parts=nvars):
-                assert sc.schur_poly(lam, nvars).eval_ones() == sc.schur_dim(lam, nvars)
+                assert _eval_ones(sc.schur_poly(lam, nvars)) == _weyl_dim(lam, nvars)
 
 
 def test_sympoly_mul_matches_dimension():
     a = sc.schur_poly((2, 1), 3)
     b = sc.schur_poly((1, 1), 3)
     prod = a * b
-    assert prod.eval_ones() == a.eval_ones() * b.eval_ones()
+    assert _eval_ones(prod) == _eval_ones(a) * _eval_ones(b)
 
 
 def test_wedge2_char_examples():
@@ -108,10 +211,8 @@ def test_index_dimension_identity():
             for dp in range(d, 4):
                 p = sc.product_char(n, d, dp)
                 closed = sc.index_dim_product(n, d, dp)
-                assert p.eval_ones() == closed
-                by_weyl = sum(
-                    sc.schur_dim(lam, 2 * n) for lam in sc.dominant_index(n, d, dp)
-                )
+                assert _eval_ones(p) == closed
+                by_weyl = sum(_weyl_dim(lam, 2 * n) for lam in sc.dominant_index(n, d, dp))
                 assert by_weyl == closed
 
 
@@ -143,13 +244,6 @@ def test_antidominant_index_examples():
     assert sc.antidominant_index(1, 1, 2) == {(1, 2)}
     assert sc.antidominant_index(1, 0, 3) == {(0, 3)}
     assert sc.antidominant_index(2, 2, 2) == {(0, 0, 2, 2), (1, 1, 1, 1)}
-
-
-def test_index_reversal_sweep():
-    for n in (1, 2, 3):
-        for d in range(5):
-            for dp in range(d, 5):
-                assert sc.verify_index_reversal(n, d, dp)
 
 
 def test_decomposition_json_shape():
