@@ -116,9 +116,21 @@ def _strata_vectors(bounds, jobs):
 
 
 def _induced_sweep(bounds, jobs):
+    """Pairing count, the strata cover of the pairings, the induced model, invariants."""
     for total in range(bounds["induced_total"] + 1):
         for d in range(total // 2 + 1):
             dp = total - d
+            pairings = st.enumerate_pairings(d, dp)
+            if len(pairings) != st.pairing_count(d, dp):
+                return "pairing-count", d, dp
+            strata = [
+                w
+                for j, jp, disjoint in st.enumerate_c_pairs(d, dp)
+                if disjoint
+                for w in st.strata_involutions(j, jp, total)
+            ]
+            if sorted(strata) != list(pairings):
+                return "strata-cover", d, dp
             if not st.verify_induced_realization(d, dp):
                 return d, dp
             for r in range(1, bounds["invariants_r"] + 1):

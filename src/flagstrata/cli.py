@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import coweights as cw
@@ -49,14 +48,6 @@ def _parse_bounds(pairs) -> dict[str, int]:
                 file=sys.stderr,
             )
     return bounds
-
-
-def _env_jobs() -> int:
-    value = os.environ.get("FLAGSTRATA_JOBS", "1")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"FLAGSTRATA_JOBS needs an integer, got {value!r}") from exc
 
 
 def _emit(rows, header, fmt, payload=None):
@@ -136,7 +127,7 @@ def cmd_strata(args, bounds):
     payload = {
         "d": d,
         "dp": dp,
-        "pairings": [[list(b) for b in alpha] for alpha in pairings],
+        "pairings": [[list(b) for b in w.blocks] for w in pairings],
         "c_pairs": c_pairs,
         "characters": {_fmt_vec(ct): val for ct, val in sorted(characters.items(), reverse=True)},
         "strata_cover": covered == len(pairings),
@@ -267,7 +258,7 @@ def cmd_selftest(args, bounds):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flagstrata",
         description="exact verification battery for flag, strata and orbit combinatorics",
@@ -276,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        help="worker processes for the big sweeps (default: FLAGSTRATA_JOBS or 1)",
+        default=1,
+        help="worker processes for the big sweeps (default: 1)",
     )
     parser.add_argument(
         "--bound",
@@ -330,12 +322,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = make_parser()
     args = parser.parse_args(argv)
     try:
         bounds = _parse_bounds(args.bound)
-        if args.jobs is None:
-            args.jobs = _env_jobs()
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         header, rows, ok, payload = COMMANDS[args.command](args, bounds)

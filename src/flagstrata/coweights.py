@@ -15,6 +15,8 @@ classes tested by :func:`classify` are:
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 Vec = tuple[int, ...]
 
 LATTICE_CLASSES = (
@@ -210,13 +212,17 @@ def flag_bundle_dim(n: int, r: int, g: int) -> int:
     return n * r + (1 - g) * sum(i * i for i in range(1, n))
 
 
-def flag_bundle_dim_even(n: int, r: int, g: int) -> int:
-    """Closed form for even n: n*r + (1-g)(n-1)(n/2)(2n-1)/3."""
+def _exact(num: int, den: int) -> int | Fraction:
+    """num / den: an int when it divides exactly, else a Fraction."""
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 else value
+
+
+def flag_bundle_dim_even(n: int, r: int, g: int) -> int | Fraction:
+    """Closed form for even n: n*r + (1-g)(n-1)(n/2)(2n-1)/3, exact."""
     if n % 2 != 0:
         raise ValueError("closed form requires even n")
-    num = (n - 1) * (n // 2) * (2 * n - 1)
-    assert num % 3 == 0
-    return n * r + (1 - g) * (num // 3)
+    return _exact(3 * n * r + (1 - g) * (n - 1) * (n // 2) * (2 * n - 1), 3)
 
 
 def fibration_rank(n: int, d: int, dp: int, lam: Vec, g: int) -> int:
@@ -233,11 +239,9 @@ def fibration_rank(n: int, d: int, dp: int, lam: Vec, g: int) -> int:
     )
 
 
-def _relative_dim(n: int, d: int, g: int) -> int:
-    # n*d - (n/6)(n-1)(4n+1)(g-1); the product n(n-1)(4n+1) is divisible by 6
-    num = n * (n - 1) * (4 * n + 1)
-    assert num % 6 == 0
-    return n * d - (num // 6) * (g - 1)
+def _relative_dim(n: int, d: int, g: int) -> int | Fraction:
+    # n*d - (n/6)(n-1)(4n+1)(g-1), exact
+    return _exact(6 * n * d - n * (n - 1) * (4 * n + 1) * (g - 1), 6)
 
 
 def fibration_dim_identity(n: int, d: int, dp: int, g: int) -> tuple[int, int, bool]:

@@ -166,38 +166,18 @@ def jordan_matrix(mu) -> gf.Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-@dataclass(frozen=True)
-class FiniteModule:
-    """Torsion module of type mu over F_q, realized by its Jordan nilpotent."""
-
-    q: int
-    mu: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", as_partition(self.mu))
-        if self.q not in (2, 3):
-            raise ValueError("only residue fields of size 2 and 3 are modeled")
-
-    @property
-    def dim(self) -> int:
-        return sum(self.mu)
-
-    @property
-    def operator(self) -> gf.Matrix:
-        return jordan_matrix(self.mu)
-
-
 BRUTE_FLAG_LIMIT = {2: 5, 3: 4}
 
 
 def count_flags_brute(mu, q: int) -> int:
     """Exhaustively count complete chains of operator-stable subspaces."""
-    module = FiniteModule(q, as_partition(mu))
-    n = module.dim
+    n = sum(as_partition(mu))
+    if q not in BRUTE_FLAG_LIMIT:
+        raise ValueError("only residue fields of size 2 and 3 are modeled")
     if n > BRUTE_FLAG_LIMIT[q]:
         raise ValueError(f"brute force capped at dimension {BRUTE_FLAG_LIMIT[q]} for q={q}")
     lattice = gf.subspace_lattice(n, q)
-    vmap = gf.vector_map(module.operator, n, q)
+    vmap = gf.vector_map(jordan_matrix(mu), n, q)
     stable = [all(vmap[x] in space for x in space) for space in lattice.spaces]
     memo: dict[int, int] = {}
 
@@ -283,8 +263,9 @@ def count_commutant_units_brute(mu, q: int) -> int:
     nonzero mod q.  Every matrix of C is counted exactly once, and nothing
     here uses the |Aut| formula, so aut_order_poly is checked independently.
     """
-    module = FiniteModule(q, as_partition(mu))
-    n = module.dim
+    n = sum(as_partition(mu))
+    if q not in BRUTE_FLAG_LIMIT:
+        raise ValueError("only residue fields of size 2 and 3 are modeled")
     if n > BRUTE_FLAG_LIMIT[q]:
         raise ValueError(f"unit count capped at dimension {BRUTE_FLAG_LIMIT[q]} for q={q}")
     if n == 0:
@@ -293,7 +274,7 @@ def count_commutant_units_brute(mu, q: int) -> int:
     split = r * n
     # row-major flattening puts the top r rows first, so the RREF rows with a
     # pivot past `split` are a basis of K and the others span a complement W
-    basis = gf.rref([sum(b, ()) for b in gf.commutant_basis(module.operator, q)], q)
+    basis = gf.rref([sum(b, ()) for b in gf.commutant_basis(jordan_matrix(mu), q)], q)
     complement = [v for v in basis if any(v[:split])]
     kernel = [v[split:] for v in basis if not any(v[:split])]
     minors = _minor_table(n, q)

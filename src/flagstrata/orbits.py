@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import gf
-from .strata import Involution, enumerate_pairings, pairing_to_involution
+from .strata import Involution, enumerate_pairings
 
 ORBIT_LIMIT = {2: 5, 3: 4}
 
@@ -19,11 +19,7 @@ ORBIT_LIMIT = {2: 5, 3: 4}
 def enumerate_involutions(n: int, max_pairs: int | None = None) -> list[Involution]:
     """All involutions of {1..n} with at most max_pairs two-cycles."""
     cap = n // 2 if max_pairs is None else min(max_pairs, n // 2)
-    return sorted(
-        pairing_to_involution(alpha, n)
-        for k in range(cap + 1)
-        for alpha in enumerate_pairings(k, n - k)
-    )
+    return sorted(w for k in range(cap + 1) for w in enumerate_pairings(k, n - k))
 
 
 def classifying_pairs(d: int, dp: int) -> list[tuple[Involution, tuple[int, ...]]]:

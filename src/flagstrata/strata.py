@@ -2,7 +2,8 @@
 
 A pairing splits I = {1..d+d'} into d two-element blocks and d'-d singletons;
 pairings index the irreducible pieces of the stratification and the basis of
-the signed induced representation realized here.  Permutations are tuples p
+the signed induced representation realized here.  A pairing is kept as
+the Involution swapping each of its pairs.  Permutations are tuples p
 of length n with p[i-1] = image of i.
 
 Characters are class functions, so the invariant dimensions and the induced
@@ -19,10 +20,9 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
-from .coweights import partitions
+from .coweights import _exact, partitions
 
 Perm = tuple[int, ...]
-Pairing = tuple[tuple[int, ...], ...]
 
 # the largest d + d' whose symmetric group is swept one permutation at a time
 PERM_SWEEP_MAX_DEGREE = 7
@@ -42,6 +42,14 @@ class Involution:
             if self.mapping[self.mapping[i - 1] - 1] != i:
                 raise ValueError(f"not an involution: {self.mapping}")
 
+    @classmethod
+    def from_pairs(cls, n: int, pairs) -> Involution:
+        """The involution of {1..n} swapping each pair (a, b) and fixing the rest."""
+        mapping = list(range(1, n + 1))
+        for a, b in pairs:
+            mapping[a - 1], mapping[b - 1] = b, a
+        return cls(mapping)
+
     def __call__(self, i: int) -> int:
         return self.mapping[i - 1]
 
@@ -60,6 +68,11 @@ class Involution:
     @property
     def fixed(self) -> frozenset:
         return frozenset(i for i in range(1, self.n + 1) if self(i) == i)
+
+    @property
+    def blocks(self) -> list[tuple[int, ...]]:
+        """The pairs and the singletons, ordered by their smallest point."""
+        return [(i,) if j == i else (i, j) for i, j in enumerate(self.mapping, 1) if j >= i]
 
     def __eq__(self, other):
         return isinstance(other, Involution) and self.mapping == other.mapping
@@ -113,53 +126,38 @@ def cycle_count(sigma: Perm) -> int:
 # pairings
 
 
-def canonical_pairing(blocks) -> Pairing:
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+def _matchings(points: tuple[int, ...], pairs: int, allowed=None):
+    """Every way to split the sorted points into `pairs` pairs and fixed points.
 
-
-def pairing_pairs(alpha: Pairing) -> list[tuple[int, int]]:
-    return [b for b in alpha if len(b) == 2]
+    The smallest free point either stays fixed, while fixed points remain to
+    be placed, or pairs with a later free point b such that allowed(a, b).
+    Yields each splitting once, as its tuple of pairs (a, b) with a < b.
+    """
+    if not points:
+        yield ()
+        return
+    head, rest = points[0], points[1:]
+    if len(points) > 2 * pairs:
+        yield from _matchings(rest, pairs, allowed)
+    if pairs:
+        for k, partner in enumerate(rest):
+            if allowed is None or allowed(head, partner):
+                for tail in _matchings(rest[:k] + rest[k + 1 :], pairs - 1, allowed):
+                    yield ((head, partner),) + tail
 
 
 @lru_cache(maxsize=None)
-def enumerate_pairings(d: int, dp: int) -> tuple[Pairing, ...]:
-    """All splittings of {1..d+d'} into d pairs and d'-d singletons."""
+def enumerate_pairings(d: int, dp: int) -> tuple[Involution, ...]:
+    """All splittings of {1..d+d'} into d pairs and d'-d singletons, as involutions."""
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
     n = d + dp
-    out: list[Pairing] = []
-
-    def build(free: tuple[int, ...], pairs_left: int, singles_left: int, acc):
-        if not free:
-            out.append(canonical_pairing(acc))
-            return
-        head, rest = free[0], free[1:]
-        if singles_left:
-            build(rest, pairs_left, singles_left - 1, acc + [(head,)])
-        if pairs_left:
-            for k, partner in enumerate(rest):
-                remaining = rest[:k] + rest[k + 1 :]
-                build(remaining, pairs_left - 1, singles_left, acc + [(head, partner)])
-
-    build(tuple(range(1, n + 1)), d, dp - d, [])
-    return tuple(sorted(out))
+    pairings = (Involution.from_pairs(n, pairs) for pairs in _matchings(tuple(range(1, n + 1)), d))
+    return tuple(sorted(pairings))
 
 
 def pairing_count(d: int, dp: int) -> int:
     return factorial(d + dp) // (2**d * factorial(d) * factorial(dp - d))
-
-
-def pairing_to_involution(alpha: Pairing, n: int) -> Involution:
-    mapping = list(range(1, n + 1))
-    for block in alpha:
-        if len(block) == 2:
-            i, j = block
-            mapping[i - 1], mapping[j - 1] = j, i
-    return Involution(mapping)
-
-
-def apply_perm_to_pairing(sigma: Perm, alpha: Pairing) -> Pairing:
-    return canonical_pairing(tuple(sigma[i - 1] for i in block) for block in alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +178,6 @@ def condition_c(j_set, jp_set, n: int) -> bool:
         count_jp += k in jp
         if count_jp > count_j:
             return False
-    # consequence: everything sits between min(J) and max(J')
-    if j:
-        lo, hi = min(j), max(jp)
-        assert all(lo <= x <= hi for x in j | jp)
     return True
 
 
@@ -210,30 +204,15 @@ def strata_involutions(j_set, jp_set, n: int | None = None) -> list[Involution]:
     n is the ambient size; it defaults to max(J union J') and only affects how
     many fixed points the returned involutions carry.
     """
-    j = tuple(sorted(j_set))
-    jp = tuple(sorted(jp_set))
-    if set(j) & set(jp):
+    lows, highs = set(j_set), set(jp_set)
+    if lows & highs:
         raise ValueError("J and J' must be disjoint")
     if n is None:
-        n = max(j + jp) if j or jp else 0
-    if not condition_c(j, jp, n):
+        n = max(lows | highs, default=0)
+    if not condition_c(lows, highs, n):
         raise ValueError("prefix condition fails for (J, J')")
-    out: list[Involution] = []
-
-    def match(lows: tuple[int, ...], highs: tuple[int, ...], acc):
-        if not lows:
-            mapping = list(range(1, n + 1))
-            for a, b in acc:
-                mapping[a - 1], mapping[b - 1] = b, a
-            out.append(Involution(mapping))
-            return
-        low, rest = lows[0], lows[1:]
-        for k, high in enumerate(highs):
-            if high > low:
-                match(rest, highs[:k] + highs[k + 1 :], acc + [(low, high)])
-
-    match(j, jp, [])
-    return sorted(out)
+    matchings = _matchings(tuple(sorted(lows | highs)), len(lows), lambda a, b: a in lows and b in highs)
+    return sorted(Involution.from_pairs(n, pairs) for pairs in matchings)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +235,10 @@ class ClassFunctionError(Exception):
 @lru_cache(maxsize=None)
 def _pairing_arrays(d: int, dp: int) -> tuple:
     """Each pairing of (d, d') as a 0-based partner array and its list of pairs."""
-    out = []
-    for alpha in enumerate_pairings(d, dp):
-        partner = list(range(d + dp))
-        pairs = []
-        for i, j in pairing_pairs(alpha):
-            partner[i - 1], partner[j - 1] = j - 1, i - 1
-            pairs.append((i - 1, j - 1))
-        out.append((tuple(partner), tuple(pairs)))
-    return tuple(out)
+    return tuple(
+        (tuple(j - 1 for j in w.mapping), tuple((i - 1, j - 1) for i, j in w.pairs))
+        for w in enumerate_pairings(d, dp)
+    )
 
 
 def ind_character(sigma: Perm, d: int, dp: int) -> int:
@@ -304,12 +278,6 @@ def _centralizer_order(ctype: tuple[int, ...]) -> int:
     for k, m in Counter(ctype).items():
         z *= k**m * factorial(m)
     return z
-
-
-def _exact(num: int, den: int) -> int | Fraction:
-    """num / den: an int when it divides exactly, else a Fraction."""
-    value = Fraction(num, den)
-    return value.numerator if value.denominator == 1 else value
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """CLI dispatch, output formats, and exit codes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -90,7 +91,7 @@ def test_levi_command(capsys):
     assert row[0] == "[[1,3],[2,4]]" and row[1] == "True" and row[-1] == "True"
 
 
-def test_invalid_config_exit_2(capsys, monkeypatch):
+def test_invalid_config_exit_2(capsys):
     assert run(capsys, "orbits", "3", "3", "2")[0] == 2
     assert run(capsys, "orbits", "1", "1", "5")[0] == 2
     assert run(capsys, "schur", "1", "3", "1")[0] == 2
@@ -107,9 +108,6 @@ def test_invalid_config_exit_2(capsys, monkeypatch):
     for bound in ("orbit_total_q2=6", "orbit_total_q3=5", "brute_flag_size=6", "brute_aut_size=5"):
         code, out, err = run(capsys, "--bound", bound, "selftest")
         assert code == 2 and out == "" and err.startswith(f"error: bound {bound.split('=')[0]} capped")
-    monkeypatch.setenv("FLAGSTRATA_JOBS", "abc")
-    code, _, err = run(capsys, "schur", "1", "0", "0")
-    assert code == 2 and err.startswith("error:")
 
 
 def test_bound_override_warns(capsys):
@@ -197,6 +195,11 @@ print(repr(st.induced_character((2, 3, 4, 1), 2, 2)))
 # an even-rank closed form one above the flag bundle dimension
 cw.flag_bundle_dim_even = lambda n, r, g: real_even(n, r, g) + 1
 print(run["dimension-identity-audits"](dict(checks.DEFAULT_BOUNDS, identity_n=1), 1))
+# strata that cover none of the pairings
+real_strata = st.strata_involutions
+st.strata_involutions = lambda j, jp, n: []
+print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1), 1))
+st.strata_involutions = real_strata
 # a pairing gap one below its value: every bound holds, but none is attained
 lv.f_val = lambda mu, levi: real_f(mu, levi) - 1
 print(cli.main(["levi", "2", "[[1],[2]]", "1", "1"]))
@@ -220,8 +223,9 @@ def test_patched_values_fail_under_optimize():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert "character-not-class-function\t2,1\t1,3,2:1\t2,1,3:2\t-" in lines
-    assert lines[lines.index("induced-model-match\tTrue\t-\t-\t-") + 1 :][:5] == [
+    assert lines[lines.index("induced-model-match\tTrue\t-\t-\t-") + 1 :][:6] == [
         "1", "Fraction(1, 2)", "(0, 0, 1)", "Fraction(1, 2)", "('flag-bundle', 2, 0, 0)",
+        "('strata-cover', 0, 0)",
     ]
     # f one below its value: no bound is attained, so the equality converse fails
     converse = lines.index("('[[1]]', (-1,), (-1,))")
@@ -233,3 +237,15 @@ def test_patched_values_fail_under_optimize():
     assert tail[1] == "[[1],[2]]\tTrue\t12\t0\t10\tFalse" and tail[-1] == "1"
     for lam in ("0,-1", "1,-1", "1,0"):
         assert f"FAILED-bound\t{lam}\t{lam}\t-\t-\tFalse" in tail
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so no check in the package may rest on one
+    package = os.path.dirname(cli.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                tree = ast.parse(handle.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -122,7 +122,8 @@ def test_flag_bundle_dim_even_closed_form():
     for n in (2, 4, 6, 8):
         for r in range(6):
             for g in range(4):
-                assert cw.flag_bundle_dim(n, r, g) == cw.flag_bundle_dim_even(n, r, g)
+                even = cw.flag_bundle_dim_even(n, r, g)
+                assert type(even) is int and even == cw.flag_bundle_dim(n, r, g)
     with pytest.raises(ValueError):
         cw.flag_bundle_dim_even(3, 1, 0)
 
@@ -139,6 +140,10 @@ def test_fibration_dim_identity_examples():
     assert cw.fibration_dim_identity(1, 0, 0, 0) == (0, 0, True)
     assert cw.fibration_dim_identity(2, 1, 1, 0) == (20, 20, True)
     assert cw.fibration_dim_identity(1, 2, 3, 1) == (10, 10, True)
+    # n(n-1)(4n+1) is divisible by 6, so the relative dimension is an exact int
+    for n in range(1, 9):
+        for g in range(4):
+            assert type(cw._relative_dim(n, 3, g)) is int
 
 
 def test_flag_dim_forms_agree():

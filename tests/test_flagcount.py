@@ -95,9 +95,11 @@ def test_jordan_rank_sequence_recovers_type():
 
 
 def test_finite_module_validation():
-    with pytest.raises(ValueError):
-        fc.FiniteModule(5, (1,))
-    assert fc.FiniteModule(2, (2, 1)).dim == 3
+    # a residue field outside the modeled ones is refused before the size cap
+    with pytest.raises(ValueError, match="residue fields of size 2 and 3"):
+        fc.count_flags_brute((9,), 5)
+    with pytest.raises(ValueError, match="residue fields of size 2 and 3"):
+        fc.count_commutant_units_brute((9,), 5)
 
 
 # -- flag counts -----------------------------------------------------------------

@@ -13,6 +13,8 @@ def test_involution_basics():
     assert w.pairs == [(1, 2), (4, 5)]
     assert w.lo == {1, 4} and w.hi == {2, 5} and w.fixed == {3}
     assert w.cycle_notation() == "(1 2)(4 5)"
+    assert w.blocks == [(1, 2), (3,), (4, 5)]
+    assert st.Involution.from_pairs(5, [(4, 5), (1, 2)]) == w
     assert st.Involution((1, 2)).cycle_notation() == "()"
     with pytest.raises(ValueError):
         st.Involution((2, 3, 1))
@@ -26,6 +28,25 @@ def test_condition_c_examples():
         st.condition_c({1}, {1, 2}, 2)
 
 
+def test_condition_c_pairs_lie_between_min_j_and_max_jp():
+    # with |J| = |J'|, the prefix condition puts every point of J and J'
+    # between min(J) and max(J')
+    for n in range(9):
+        for d in range(n // 2 + 1):
+            for j, jp, _ in st.enumerate_c_pairs(d, n - d):
+                if j:
+                    assert all(min(j) <= x <= max(jp) for x in j + jp), (j, jp)
+
+
+def _brute_involutions(n):
+    """Slow oracle: every involution of {1..n}, by filtering all of S_n."""
+    return [
+        st.Involution(p)
+        for p in st.all_perms(n)
+        if all(p[p[i] - 1] == i + 1 for i in range(n))
+    ]
+
+
 def test_enumerate_pairings_counts():
     assert len(st.enumerate_pairings(1, 1)) == 1
     assert len(st.enumerate_pairings(2, 2)) == 3
@@ -35,9 +56,17 @@ def test_enumerate_pairings_counts():
             pairings = st.enumerate_pairings(d, dp)
             assert len(pairings) == st.pairing_count(d, dp)
             assert len(set(pairings)) == len(pairings)
-            for alpha in pairings:
-                sizes = sorted(len(b) for b in alpha)
-                assert sizes == [1] * (dp - d) + [2] * d
+            for w in pairings:
+                assert w.n == d + dp
+                assert len(w.pairs) == d and len(w.fixed) == dp - d
+
+
+def test_enumerate_pairings_vs_filtered_perms():
+    for n in range(8):
+        involutions = _brute_involutions(n)
+        for d in range(n // 2 + 1):
+            want = sorted(w for w in involutions if len(w.pairs) == d)
+            assert list(st.enumerate_pairings(d, n - d)) == want, (d, n - d)
 
 
 def test_strata_involutions_known_vectors():
@@ -57,6 +86,16 @@ def test_strata_involutions_structure():
             assert w.lo == set(j) and w.hi == set(jp)
             assert all(i < w(i) for i in j)
             assert w.fixed == set(range(1, n + 1)) - j - jp
+
+
+def test_strata_involutions_vs_filtered_perms():
+    for n in range(7):
+        involutions = _brute_involutions(n)
+        for d in range(n // 2 + 1):
+            for j, jp, disjoint in st.enumerate_c_pairs(d, n - d):
+                if disjoint:
+                    want = [w for w in involutions if w.lo == set(j) and w.hi == set(jp)]
+                    assert st.strata_involutions(j, jp, n) == sorted(want), (j, jp)
 
 
 def test_strata_involutions_preconditions():
@@ -196,13 +235,12 @@ def _induced_character_by_conjugation(ctype, d, dp):
     """Slow oracle: (1/|H|) times the sum over g in S_n of sign x triv at g^-1 sigma g.
 
     H is the stabilizer of the base pairing {1,2}, ..., {2d-1,2d}; the term is
-    zero unless the conjugate stabilizes it, and then it is the sign of the
-    conjugate on the paired points.
+    zero unless the conjugate stabilizes it, that is unless it commutes with
+    the base involution, and then it is the sign of the conjugate on the
+    paired points.
     """
     n = d + dp
-    alpha = st.canonical_pairing(
-        [(2 * k + 1, 2 * k + 2) for k in range(d)] + [(i,) for i in range(2 * d + 1, n + 1)]
-    )
+    base = [i + 1 if i % 2 else i - 1 for i in range(1, 2 * d + 1)] + list(range(2 * d + 1, n + 1))
     sigma = st.perm_of_cycle_type(ctype)
     total = 0
     for g in st.all_perms(n):
@@ -210,7 +248,7 @@ def _induced_character_by_conjugation(ctype, d, dp):
         for i in range(1, n + 1):
             ginv[g[i - 1] - 1] = i
         conj = tuple(ginv[sigma[g[i - 1] - 1] - 1] for i in range(1, n + 1))
-        if st.apply_perm_to_pairing(conj, alpha) == alpha:
+        if all(conj[base[i] - 1] == base[conj[i] - 1] for i in range(n)):
             total += _sign_of_relabeling([conj[i - 1] for i in range(1, 2 * d + 1)])
     stab_order = 2**d * factorial(d) * factorial(dp - d)
     assert total % stab_order == 0
