@@ -8,6 +8,7 @@ tests/test_acceptance.py both iterate CHECKS, so they run the same battery.
 
 from __future__ import annotations
 
+from contextlib import closing
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -153,12 +154,14 @@ def _orbit_sweep(bounds, jobs):
 
 def _levi_sweep(bounds, jobs):
     """The bound, its equality configuration and its converse on every antistandard Levi."""
-    for n in range(1, bounds["levi_rank"] + 1):
-        for levi in lv.antistandard_levis(n):
-            res = lv.sweep_inequality(levi, bounds["levi_bound"], bounds["levi_bound"], jobs=jobs)
+    levis = [levi for n in range(1, bounds["levi_rank"] + 1) for levi in lv.antistandard_levis(n)]
+    bound = bounds["levi_bound"]
+    # one worker pool for the whole criterion; leaving early closes it
+    with closing(lv.sweep_levis(levis, bound, bound, jobs)) as reports:
+        for res in reports:
             if res["failures"]:
                 lam, nu, _ = res["failures"][0]
-                return str(levi), lam, nu
+                return res["levi"], lam, nu
     return None
 
 

@@ -9,6 +9,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -258,7 +259,13 @@ def cmd_selftest(args, bounds):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+
+    It keeps nothing between calls: parse_args returns a fresh Namespace, and
+    the --bound append action copies its list before appending.
+    """
     parser = argparse.ArgumentParser(
         prog="flagstrata",
         description="exact verification battery for flag, strata and orbit combinatorics",

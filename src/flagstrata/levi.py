@@ -382,28 +382,47 @@ def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int =
     chunk of lam builds its own kernel.  jobs is clamped to the CPU count and
     to the number of lam, so no worker process is started idle.
     """
-    n = levi.n
-    lams = list(product(range(-lam_bound, lam_bound + 1), repeat=n))
-    jobs = min(jobs, os.cpu_count() or 1, len(lams))
-    if jobs > 1:
-        from multiprocessing import Pool
+    (res,) = sweep_levis([levi], lam_bound, nu_bound, jobs)
+    return res
 
-        chunks = [
-            (n, levi.blocks, lams[k::jobs], nu_bound) for k in range(jobs)
-        ]
-        with Pool(jobs) as pool:
-            parts = pool.map(_sweep_chunk, chunks)
-    else:
-        parts = [_sweep_chunk((n, levi.blocks, lams, nu_bound))]
-    total = sum(p[1] for p in parts)
-    equalities = sorted(e for p in parts for e in p[2])
-    failures = [f for p in parts for f in p[3]]
-    failures.sort(key=lambda item: (item[0], item[1]))
+
+def sweep_levis(levis, lam_bound: int, nu_bound: int, jobs: int = 1):
+    """sweep_inequality for each Levi in turn, all on at most one worker pool.
+
+    The reports come one at a time, in the order of levis, so a caller that
+    stops at the first failing Levi sweeps no further.  jobs is clamped to the
+    CPU count and to the lam count of the largest Levi, and each Levi splits
+    its lam into that many chunks (a smaller Levi may leave some empty).  With
+    one job no pool is started.
+    """
+    levis = list(levis)
+    most_lams = max(((2 * lam_bound + 1) ** levi.n for levi in levis), default=0)
+    jobs = min(jobs, os.cpu_count() or 1, most_lams)
+    if jobs <= 1:
+        for levi in levis:
+            yield _merge(levi, list(map(_sweep_chunk, _chunks(levi, lam_bound, nu_bound, 1))))
+        return
+    from multiprocessing import Pool
+
+    with Pool(jobs) as pool:
+        for levi in levis:
+            yield _merge(levi, pool.map(_sweep_chunk, _chunks(levi, lam_bound, nu_bound, jobs)))
+
+
+def _chunks(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int) -> list[tuple]:
+    """The sweep of one Levi split into jobs _sweep_chunk payloads, one per stride of lam."""
+    lams = list(product(range(-lam_bound, lam_bound + 1), repeat=levi.n))
+    return [(levi.n, levi.blocks, lams[k::jobs], nu_bound) for k in range(jobs)]
+
+
+def _merge(levi: BlockLevi, parts) -> dict:
+    """One Levi's report from the results of its chunks, whatever the split."""
+    failures = sorted((f for p in parts for f in p[3]), key=lambda item: (item[0], item[1]))
     return {
         "levi": str(levi),
         "antistandard": parts[0][0],
-        "pairs_checked": total,
-        "equalities": equalities,
+        "pairs_checked": sum(p[1] for p in parts),
+        "equalities": sorted(e for p in parts for e in p[2]),
         "failures": failures,
         "holds": not failures,
     }

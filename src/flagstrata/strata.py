@@ -184,18 +184,33 @@ def condition_c(j_set, jp_set, n: int) -> bool:
 def enumerate_c_pairs(d: int, dp: int):
     """All ordered pairs (J, J') of d-subsets satisfying the prefix condition.
 
-    Returns triples (J, J', disjoint) with J, J' sorted tuples.
+    Returns triples (J, J', disjoint) with J, J' sorted tuples, J' running
+    through _c_partners(J), in lexicographic order of (J, J').
     """
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
     n = d + dp
-    subsets = list(combinations(range(1, n + 1), d))
-    out = []
-    for j in subsets:
-        for jp in subsets:
-            if condition_c(j, jp, n):
-                out.append((j, jp, not set(j) & set(jp)))
-    return out
+    return [
+        (j, jp, set(j).isdisjoint(jp))
+        for j in combinations(range(1, n + 1), d)
+        for jp in _c_partners(j, 1, n)
+    ]
+
+
+def _c_partners(j: tuple[int, ...], start: int, n: int):
+    """Sorted subsets J' of start..n with |J'| = |J| and J'_i >= J_i for each i.
+
+    For sorted J and J' of one size, that is condition_c: the i-th point of
+    J' comes no earlier than the i-th point of J exactly when no prefix of
+    1..n holds more of J' than of J.  They come in lexicographic order, and
+    every branch taken yields: first <= n - |J| + 1 leaves room for the rest.
+    """
+    if not j:
+        yield ()
+        return
+    for first in range(max(j[0], start), n - len(j) + 2):
+        for rest in _c_partners(j[1:], first + 1, n):
+            yield (first,) + rest
 
 
 def strata_involutions(j_set, jp_set, n: int | None = None) -> list[Involution]:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -249,3 +250,58 @@ def test_no_assert_in_src():
                 tree = ast.parse(handle.read(), name)
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_reused_parser_keeps_no_state(monkeypatch):
+    # each call in one process gives what a fresh parser gives for the same argv;
+    # selftest prints the same rows at any bounds, so the bounds it ran with are recorded
+    seen = []
+    real = cli.cmd_selftest
+    monkeypatch.setitem(cli.COMMANDS, "selftest", lambda args, bounds: (seen.append(bounds), real(args, bounds))[1])
+
+    def result(argv, fresh):
+        if fresh:
+            cli.make_parser.cache_clear()
+        seen.clear()
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects the argv
+            code = ("exit", exc.code)
+        return code, out.getvalue(), err.getvalue(), list(seen)
+
+    sequence = [
+        ("--bound", "schur_n=2", "selftest"),
+        ("selftest",),  # the bound must not carry over
+        ("--format", "json", "orbits", "1", "2", "2"),
+        ("orbits", "1", "2", "2"),  # nor the format
+        ("--format", "xml", "orbits", "1", "1", "2"),  # argparse exits 2
+        ("orbits", "1", "1", "2"),
+    ]
+    fresh = [result(argv, fresh=True) for argv in sequence]
+    cli.make_parser.cache_clear()
+    reused = [result(argv, fresh=False) for argv in sequence]
+    assert reused == fresh
+    assert fresh[0][3] == [dict(cli.DEFAULT_BOUNDS, schur_n=2)] and fresh[1][3] == [cli.DEFAULT_BOUNDS]
+    assert fresh[2][1] != fresh[3][1]
+    assert fresh[4][0] == ("exit", 2) and fresh[5][0] == 0
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    built = []
+    real = cli.argparse.ArgumentParser
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("prog"))
+        return real(*args, **kwargs)
+
+    cli.make_parser.cache_clear()
+    # argparse itself names ArgumentParser in super(), so only cli sees the stand-in
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=counting))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        for argv in (["fibermass", "1", "1"], ["orbits", "1", "1", "2"], ["fibermass", "1", "2"]):
+            assert cli.main(argv) == 0
+    cli.make_parser.cache_clear()
+    assert built == ["flagstrata"]

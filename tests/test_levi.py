@@ -352,6 +352,44 @@ def test_sweep_jobs_clamped(monkeypatch):
         assert res["failures"] == serial["failures"]
 
 
+def test_levi_criterion_opens_one_pool(monkeypatch):
+    import multiprocessing
+
+    from flagstrata import checks
+
+    events = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            events.append(("open", processes))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append(("close",))
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(lv.os, "cpu_count", lambda: 4)
+    run = {check.name: check.run for check in checks.CHECKS}["levi-pairing-gap-bound"]
+    bounds = checks.DEFAULT_BOUNDS
+    real_f = lv.f_val
+    for f, verdict in [
+        (real_f, None),
+        # one below its value: no bound is attained, so the first Levi fails its converse
+        (lambda mu, levi: real_f(mu, levi) - 1, ("[[1]]", (-2,), (-2,))),
+    ]:
+        monkeypatch.setattr(lv, "f_val", f)
+        events.clear()
+        assert run(bounds, 1) == verdict and events == []
+        # nine antistandard Levis of rank <= 4, one pool, closed on an early return too
+        assert run(bounds, 2) == verdict and events == [("open", 2), ("close",)]
+
+
 def test_rearrangement_mismatch_fails_with_witness(monkeypatch):
     monkeypatch.setattr(lv, "f_val", lambda mu, levi: 10**6)
     report = lv.verify_inequality((-1, 0), (0, -1), TORUS2)

@@ -1,5 +1,6 @@
 """Pairings, condition-C strata, and the signed induced representation."""
 
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -110,6 +111,24 @@ def test_enumerate_c_pairs():
     assert [(j, jp) for j, jp, _ in pairs] == [((1,), (1,)), ((1,), (2,)), ((2,), (2,))]
     assert [flag for *_, flag in pairs] == [False, True, False]
     assert st.enumerate_c_pairs(0, 3) == [((), (), True)]
+
+
+def _c_pairs_by_filter(d, dp):
+    """Slow oracle: every ordered pair of d-subsets, filtered by condition_c."""
+    n = d + dp
+    subsets = list(combinations(range(1, n + 1), d))
+    return [
+        (j, jp, not set(j) & set(jp))
+        for j in subsets
+        for jp in subsets
+        if st.condition_c(j, jp, n)
+    ]
+
+
+def test_enumerate_c_pairs_vs_all_pairs_filter():
+    for total in range(9):
+        for d in range(total // 2 + 1):
+            assert st.enumerate_c_pairs(d, total - d) == _c_pairs_by_filter(d, total - d), (d, total - d)
 
 
 def test_every_pairing_comes_from_one_stratum():
