@@ -73,7 +73,7 @@ def _margin_sweep(bounds, jobs):
                     )
                     if margin > 0 or equal != cw.is_interleaved(mu, mup) or equal != (gap == 0):
                         return mu, mup
-                    if fc.fiber_mass(mu, mup).degree != margin - pp:
+                    if fc.fiber_mass_degree(mu, mup) != margin - pp:
                         return mu, mup
     return None
 

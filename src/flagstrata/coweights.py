@@ -16,6 +16,7 @@ classes tested by :func:`classify` are:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import ge, le
 
 Vec = tuple[int, ...]
 
@@ -38,11 +39,11 @@ def pairing(a: Vec, b: Vec) -> int:
 
 
 def weakly_decreasing(v) -> bool:
-    return all(v[i] >= v[i + 1] for i in range(len(v) - 1))
+    return all(map(ge, v, v[1:]))
 
 
 def weakly_increasing(v) -> bool:
-    return all(v[i] <= v[i + 1] for i in range(len(v) - 1))
+    return all(map(le, v, v[1:]))
 
 
 def classify(lam: Vec, cls: str, deg: int | None = None) -> bool:
@@ -79,6 +80,9 @@ def classify(lam: Vec, cls: str, deg: int | None = None) -> bool:
 
 def as_partition(seq) -> Vec:
     """Canonical partition: validate weak decrease and nonnegativity, trim zeros."""
+    # a tuple that is already canonical is returned as it is (tuple(seq) is seq)
+    if type(seq) is tuple and (not seq or seq[-1] > 0) and weakly_decreasing(seq):
+        return seq
     parts = tuple(seq)
     if any(x < 0 for x in parts):
         raise ValueError(f"negative part in {parts}")
@@ -134,10 +138,6 @@ def format_coweight(v: Vec) -> str:
     return ",".join(str(x) for x in v)
 
 
-def parse_partition(text: str) -> Vec:
-    return as_partition(parse_coweight(text))
-
-
 # ---------------------------------------------------------------------------
 # splits and interleavings
 
@@ -151,8 +151,13 @@ def odd_even_split(lam: Vec) -> tuple[Vec, Vec]:
 
 def interleave(mu, mup, m: int) -> Vec:
     """The length-2m vector (mup_1, mu_1, mup_2, mu_2, ...) after zero-padding."""
-    a = pad(as_partition(mu), m)
-    b = pad(as_partition(mup), m)
+    return _interleave(as_partition(mu), as_partition(mup), m)
+
+
+def _interleave(mu: Vec, mup: Vec, m: int) -> Vec:
+    # mu and mup are canonical partitions
+    a = pad(mu, m)
+    b = pad(mup, m)
     out = []
     for i in range(m):
         out.append(b[i])
@@ -189,7 +194,7 @@ def is_interleaved(mu, mup) -> bool:
     """True iff mup_1 >= mu_1 >= mup_2 >= mu_2 >= ... after common padding."""
     mu = as_partition(mu)
     mup = as_partition(mup)
-    return weakly_decreasing(interleave(mu, mup, max(len(mu), len(mup), 1)))
+    return weakly_decreasing(_interleave(mu, mup, max(len(mu), len(mup), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +262,20 @@ def complete_flag_dim(eta) -> int:
     Telescoped form sum_i eta_i * (i - 1); the literal form
     sum_i (eta_i - eta_{i+1}) * i(i-1)/2 is kept as a test oracle.
     """
-    eta = as_partition(eta)
+    return _complete_flag_dim(as_partition(eta))
+
+
+def _complete_flag_dim(eta) -> int:
+    # eta weakly decreasing and nonnegative; trailing zeros add nothing
     return sum(x * i for i, x in enumerate(eta))
 
 
 def automorphism_dim(mu) -> int:
     """dim Aut of a torsion module of type mu: sum_i mu_i * (2i - 1)."""
-    mu = as_partition(mu)
+    return _automorphism_dim(as_partition(mu))
+
+
+def _automorphism_dim(mu: Vec) -> int:
     return sum(x * (2 * i + 1) for i, x in enumerate(mu))
 
 
@@ -276,12 +288,11 @@ def flag_mass_margin(mu, mup) -> tuple[int, bool]:
     mu = as_partition(mu)
     mup = as_partition(mup)
     m = max(len(mu), len(mup), 1)
-    theta = interleave(mu, mup, m)
-    eta = tuple(sorted(theta, reverse=True))
+    eta = sorted(_interleave(mu, mup, m), reverse=True)
     margin = (
-        complete_flag_dim(eta)
-        - automorphism_dim(mu)
-        - automorphism_dim(mup)
+        _complete_flag_dim(eta)
+        - _automorphism_dim(mu)
+        - _automorphism_dim(mup)
         + sum(mup)
     )
     return margin, margin == 0

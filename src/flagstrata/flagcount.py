@@ -356,7 +356,12 @@ def _minor_table(n: int, q: int):
 
 def merge_type(mu, mup) -> tuple[int, ...]:
     """Type of the direct sum: sorted concatenation of the parts."""
-    return as_partition(sorted(tuple(as_partition(mu)) + tuple(as_partition(mup)), reverse=True))
+    return _merge(as_partition(mu), as_partition(mup))
+
+
+def _merge(mu: tuple[int, ...], mup: tuple[int, ...]) -> tuple[int, ...]:
+    # the sorted concatenation of two canonical partitions is canonical
+    return tuple(sorted(mu + mup, reverse=True))
 
 
 def fiber_mass(mu, mup) -> QRat:
@@ -364,8 +369,23 @@ def fiber_mass(mu, mup) -> QRat:
     mu = as_partition(mu)
     mup = as_partition(mup)
     return QRat(
-        count_flags_poly(merge_type(mu, mup)),
+        count_flags_poly(_merge(mu, mup)),
         aut_order_poly(mu) * aut_order_poly(mup),
+    )
+
+
+def fiber_mass_degree(mu, mup) -> int:
+    """fiber_mass(mu, mup).degree, read from the three polynomials without a QRat.
+
+    Dividing by the integer content keeps both degrees, and integer polynomial
+    degrees add under products.
+    """
+    mu = as_partition(mu)
+    mup = as_partition(mup)
+    return (
+        count_flags_poly(_merge(mu, mup)).degree
+        - aut_order_poly(mu).degree
+        - aut_order_poly(mup).degree
     )
 
 
@@ -442,15 +462,14 @@ def fiber_mass_table(dmax: int):
     """Rows (mu, mup, degree, margin, interleaved) for all |mu|, |mup| <= dmax."""
     from .coweights import flag_mass_margin, is_interleaved
 
+    by_size = [list(partitions(d)) for d in range(dmax + 1)]
     rows = []
-    sizes = range(dmax + 1)
-    for d in sizes:
-        for dp in sizes:
-            for mu in partitions(d):
-                for mup in partitions(dp):
-                    mass = fiber_mass(mu, mup)
+    for mus in by_size:
+        for mups in by_size:
+            for mu in mus:
+                for mup in mups:
                     margin, _ = flag_mass_margin(mu, mup)
                     rows.append(
-                        (mu, mup, mass.degree, margin, is_interleaved(mu, mup))
+                        (mu, mup, fiber_mass_degree(mu, mup), margin, is_interleaved(mu, mup))
                     )
     return rows

@@ -26,14 +26,6 @@ def mat_vec(m: Matrix, v: Vector, q: int) -> Vector:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) % q for row in m)
 
 
-def mat_mul(a: Matrix, b: Matrix, q: int) -> Matrix:
-    n = len(b[0])
-    return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) % q for j in range(n))
-        for ra in a
-    )
-
-
 def rref(rows, q: int) -> Matrix:
     """Reduced row echelon form with zero rows dropped; canonical per subspace."""
     mat = [list(r) for r in rows]

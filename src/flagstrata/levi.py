@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 
 from .coweights import pairing, weakly_decreasing, weakly_increasing
 
@@ -36,14 +36,6 @@ class BlockLevi:
 
     def __str__(self):
         return "[" + ",".join("[" + ",".join(map(str, b)) + "]" for b in self.blocks) + "]"
-
-
-def full_levi(n: int) -> BlockLevi:
-    return BlockLevi(n, [tuple(range(1, n + 1))])
-
-
-def torus_levi(n: int) -> BlockLevi:
-    return BlockLevi(n, [(i,) for i in range(1, n + 1)])
 
 
 def parse_blocks(n: int, text: str) -> BlockLevi:
@@ -159,16 +151,6 @@ def w0_g(lam: Vec) -> Vec:
 def w0_m(lam: Vec, levi: BlockLevi) -> Vec:
     """Longest Levi element: reverse coordinates within each block."""
     return _place(levi, ([lam[p - 1] for p in block][::-1] for block in levi.blocks))
-
-
-def weyl_orbit_m(lam: Vec, levi: BlockLevi):
-    """All blockwise permutations of lam (the Levi Weyl orbit)."""
-    per_block = []
-    for block in levi.blocks:
-        values = [lam[p - 1] for p in block]
-        per_block.append(sorted(set(permutations(values))))
-    for combo in product(*per_block):
-        yield _place(levi, combo)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,6 @@ class Involution:
         return f"Involution{self.mapping}"
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def all_perms(n: int):
     return permutations(range(1, n + 1))
 
@@ -116,10 +112,6 @@ def cycle_type(sigma: Perm) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def cycle_count(sigma: Perm) -> int:
-    return len(cycle_type(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Oracles used here, independent of the implementation under test:
     - the even-rank closed form of the flag bundle dimension
 """
 
+from itertools import product
+
 import pytest
 
 from flagstrata import coweights as cw
@@ -49,9 +51,56 @@ def test_classify_consistency(vec):
 def test_serialization_round_trip():
     assert cw.parse_coweight("2,-1,0") == (2, -1, 0)
     assert cw.format_coweight((2, -1, 0)) == "2,-1,0"
-    assert cw.parse_partition("3,1") == (3, 1)
+    assert cw.as_partition(cw.parse_coweight("3,1")) == (3, 1)
     with pytest.raises(ValueError):
-        cw.parse_partition("1,3")
+        cw.as_partition(cw.parse_coweight("1,3"))
+
+
+# -- predicates and partitions: slow oracles -----------------------------------
+# the index-comprehension predicates and the check-everything as_partition;
+# the fast forms in coweights must agree on values, result types and messages
+
+
+def oracle_weakly_decreasing(v):
+    return all(v[i] >= v[i + 1] for i in range(len(v) - 1))
+
+
+def oracle_weakly_increasing(v):
+    return all(v[i] <= v[i + 1] for i in range(len(v) - 1))
+
+
+def oracle_as_partition(seq):
+    parts = tuple(seq)
+    if any(x < 0 for x in parts):
+        raise ValueError(f"negative part in {parts}")
+    if not oracle_weakly_decreasing(parts):
+        raise ValueError(f"not weakly decreasing: {parts}")
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
+
+
+def _outcome(fn, arg):
+    try:
+        result = fn(arg)
+    except ValueError as exc:
+        return "raises", str(exc)
+    return type(result), result
+
+
+def test_predicates_and_as_partition_match_slow_oracles():
+    vectors = [v for length in range(6) for v in product(range(-2, 4), repeat=length)]
+    for v in vectors:
+        for arg in (v, list(v)):
+            assert cw.weakly_decreasing(arg) == oracle_weakly_decreasing(arg), arg
+            assert cw.weakly_increasing(arg) == oracle_weakly_increasing(arg), arg
+            assert _outcome(cw.as_partition, arg) == _outcome(oracle_as_partition, arg), arg
+    # with both faults the negative part is reported first
+    with pytest.raises(ValueError, match=r"^negative part in \(-1, 2\)$"):
+        cw.as_partition((-1, 2))
+    assert cw.as_partition([2, 1, 0]) == (2, 1)
+    canonical = (3, 1, 1)
+    assert cw.as_partition(canonical) is canonical
 
 
 # -- splits and interleavings -------------------------------------------------

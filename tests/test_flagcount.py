@@ -14,6 +14,7 @@ from flagstrata import gf
 from flagstrata.coweights import (
     automorphism_dim,
     complete_flag_dim,
+    flag_mass_margin,
     is_interleaved,
     partitions,
 )
@@ -70,15 +71,19 @@ def test_qrat_sum():
 
 # -- the module model -----------------------------------------------------------
 
+def mat_mul(a, b, q):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)) for row in a)
+
+
 def test_jordan_matrix_type():
     mu = (3, 1)
     t = fc.jordan_matrix(mu)
     assert len(t) == 4
     power = t
     for _ in range(mu[0] - 2):
-        power = gf.mat_mul(power, t, 5)
+        power = mat_mul(power, t, 5)
     assert any(any(row) for row in power)  # t^(mu_1 - 1) != 0
-    power = gf.mat_mul(power, t, 5)
+    power = mat_mul(power, t, 5)
     assert not any(any(row) for row in power)  # t^(mu_1) = 0
 
 
@@ -89,7 +94,7 @@ def test_jordan_rank_sequence_recovers_type():
         n = sum(mu)
         power = gf.identity(n)
         for k in range(1, (mu[0] if mu else 0) + 1):
-            power = gf.mat_mul(power, t, 2)
+            power = mat_mul(power, t, 2)
             rank = len(gf.rref(power, 2))
             assert rank == sum(max(part - k, 0) for part in mu)
 
@@ -413,3 +418,23 @@ def test_fiber_mass_table_shape():
     rows = fc.fiber_mass_table(2)
     assert ((1,), (2,), -2, 0, True) in rows
     assert ((1, 1), (2,), -3, -1, False) in rows
+
+
+def test_fiber_mass_degree_matches_qrat_degree():
+    shapes = [mu for size in range(7) for mu in partitions(size)]
+    for mu in shapes:
+        for mup in shapes:
+            assert fc.fiber_mass_degree(mu, mup) == fc.fiber_mass(mu, mup).degree, (mu, mup)
+    assert fc.fiber_mass_degree([1, 1, 0], [2]) == -3
+
+
+def test_fiber_mass_table_matches_per_pair_rebuild():
+    # the table in row order, rebuilt with the QRat degree of each pair
+    rebuilt = [
+        (mu, mup, fc.fiber_mass(mu, mup).degree, flag_mass_margin(mu, mup)[0], is_interleaved(mu, mup))
+        for d in range(5)
+        for dp in range(5)
+        for mu in partitions(d)
+        for mup in partitions(dp)
+    ]
+    assert fc.fiber_mass_table(4) == rebuilt
