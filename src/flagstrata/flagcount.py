@@ -9,13 +9,11 @@ Brute-force counters over F_2 and F_3 validate every polynomial formula.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import groupby
 from math import gcd
-from operator import mul
 
 from . import gf
 from .coweights import as_partition, conjugate, partitions
@@ -252,16 +250,18 @@ def aut_order_poly(mu) -> QPoly:
 def count_commutant_units_brute(mu, q: int) -> int:
     """Count invertible matrices commuting with the Jordan nilpotent, exhaustively.
 
-    Meet in the middle over the generalised Laplace expansion along the top
-    r = ceil(n/2) rows: det M is the signed sum over r-subsets S of columns of
-    det(top rows, S) * det(bottom rows, complement of S).  The commutant C
-    splits as W + K, where K holds the elements of C whose top rows are zero,
-    so each element of C is w + k with the top rows of w.  The top-minor
-    vectors of W are binned by the bottom rows of w; for each such bottom
-    offset the bottom-minor vectors of offset + K are binned too, and the count
-    adds the product of the bin sizes over every bin pair whose Laplace sum is
-    nonzero mod q.  Every matrix of C is counted exactly once, and nothing
-    here uses the |Aut| formula, so aut_order_poly is checked independently.
+    A row-by-row rank walk over the subspace lattice of F_q^n.  In the RREF of
+    the row-major flattened commutant basis, a vector that pivots in row i is
+    zero in rows 0..i-1, so the coefficients of the vectors pivoting in rows
+    0..i fix row i.  The walk picks them one row at a time.  Its state is the
+    lattice id s of the span of the rows picked so far and the offset: the part
+    of the later rows that the picked coefficients already fix.  A row inside
+    span s makes the matrix singular and is skipped; any other row steps to the
+    cover of s that contains it.  Rows are held as lattice vector indices and
+    added with the lattice's translate table.  Completion counts are memoized
+    on the state within the call.  Only span membership is used, never the
+    |Aut| formula or a |GL_n| product, so aut_order_poly is checked
+    independently.
     """
     n = sum(as_partition(mu))
     if q not in BRUTE_FLAG_LIMIT:
@@ -270,84 +270,43 @@ def count_commutant_units_brute(mu, q: int) -> int:
         raise ValueError(f"unit count capped at dimension {BRUTE_FLAG_LIMIT[q]} for q={q}")
     if n == 0:
         return 1
-    r = (n + 1) // 2
-    split = r * n
-    # row-major flattening puts the top r rows first, so the RREF rows with a
-    # pivot past `split` are a basis of K and the others span a complement W
+    lattice = gf.subspace_lattice(n, q)
+    add = lattice.translate
     basis = gf.rref([sum(b, ()) for b in gf.commutant_basis(jordan_matrix(mu), q)], q)
-    complement = [v for v in basis if any(v[:split])]
-    kernel = [v[split:] for v in basis if not any(v[:split])]
-    minors = _minor_table(n, q)
-    laplace = _laplace_terms(n, r)
-    top_bins: dict[tuple, Counter] = defaultdict(Counter)
-    for v in _span((0,) * (n * n), complement, q):
-        top_bins[v[split:]][minors(_rows(v[:split], n))] += 1
-    count = 0
-    for offset, tops in top_bins.items():
-        bottoms = Counter(minors(_rows(v, n)) for v in _span(offset, kernel, q))
-        aligned = [(tuple(sign * m[i] for i, sign in laplace), c) for m, c in bottoms.items()]
-        for t, a in tops.items():
-            for b, c in aligned:
-                if sum(map(mul, t, b)) % q:
-                    count += a * c
-    return count
-
-
-def _laplace_terms(n: int, r: int) -> list[tuple[int, int]]:
-    """The generalised Laplace expansion of an n x n determinant along its top r rows.
-
-    One term per r-subset S of columns, in lexicographic order: the index of
-    the complement of S among the (n-r)-subsets, and the sign (-1)^(sum of S).
-    det M = (-1)^(r(r-1)/2) times the sum over S of sign * top minor(S) *
-    bottom minor(complement of S); the shared factor is left out.
-    """
-    bottom_index = {s: i for i, s in enumerate(combinations(range(n), n - r))}
-    return [
-        (bottom_index[tuple(j for j in range(n) if j not in s)], (-1) ** sum(s))
-        for s in combinations(range(n), r)
+    spans = [[(0,) * (n * (n - i))] for i in range(n)]
+    for v in basis:
+        i = next(j for j, x in enumerate(v) if x) // n
+        tail = v[i * n:]
+        spans[i] = [
+            tuple((a + c * b) % q for a, b in zip(w, tail)) for c in range(q) for w in spans[i]
+        ]
+    # combos[i]: every combination of the vectors pivoting in row i, as the
+    # vector indices of its rows i..n-1
+    combos = [
+        [tuple(gf.vector_index(w[k:k + n], q) for k in range(0, len(w), n)) for w in span]
+        for span in spans
     ]
+    # joins[s][x]: the cover of s that contains vector x, read only for x outside s
+    joins: dict[int, dict[int, int]] = {}
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
+    def completions(s: int, offset: tuple[int, ...]) -> int:
+        if not offset:
+            return 1
+        if (s, offset) not in memo:
+            if s not in joins:
+                joins[s] = {x: c for c in lattice.covers[s] for x in lattice.spaces[c]}
+            space, join = lattice.spaces[s], joins[s]
+            row, rest = add[offset[0]], offset[1:]
+            total = 0
+            for combo in combos[n - len(offset)]:
+                x = row[combo[0]]
+                if x not in space:
+                    total += completions(join[x], tuple(add[a][b] for a, b in zip(rest, combo[1:])))
+            memo[s, offset] = total
+        return memo[s, offset]
 
-def _rows(flat: tuple, n: int) -> gf.Matrix:
-    return tuple(flat[i:i + n] for i in range(0, len(flat), n))
-
-
-def _span(start: gf.Vector, vectors, q: int) -> list[gf.Vector]:
-    """start plus every F_q-combination of linearly independent vectors, once each."""
-    out = [start]
-    for v in vectors:
-        out += [tuple((x + c * y) % q for x, y in zip(e, v)) for c in range(1, q) for e in out]
-    return out
-
-
-def _minor_table(n: int, q: int):
-    """Memoized map from a k x n block (a tuple of rows) to its k x k minors mod q.
-
-    The minors are listed by column subset in lexicographic order.  Each is
-    expanded along the block's first row, so the minors of the rows below are
-    looked up, not recomputed, when blocks share them.
-    """
-    expansions: list[list] = [[]]
-    for k in range(1, n + 1):
-        lower = {s: i for i, s in enumerate(combinations(range(n), k - 1))}
-        expansions.append(
-            [
-                [(j, lower[s[:i] + s[i + 1:]], (-1) ** i) for i, j in enumerate(s)]
-                for s in combinations(range(n), k)
-            ]
-        )
-    memo: dict[gf.Matrix, tuple[int, ...]] = {(): (1,)}
-
-    def minors(rows: gf.Matrix) -> tuple[int, ...]:
-        if rows not in memo:
-            first, below = rows[0], minors(rows[1:])
-            memo[rows] = tuple(
-                sum(sign * first[j] * below[t] for j, t, sign in terms) % q
-                for terms in expansions[len(rows)]
-            )
-        return memo[rows]
-
-    return minors
+    return completions(0, (0,) * n)
 
 
 # ---------------------------------------------------------------------------

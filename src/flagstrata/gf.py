@@ -86,12 +86,14 @@ class SubspaceLattice(NamedTuple):
 
     spaces[s] is the frozenset of vector indices of subspace s, ids inverts
     it, and covers[s] lists the ids of the subspaces one dimension above s
-    (empty only for the whole space).
+    (empty only for the whole space).  translate[w][x] is the index of
+    vector x + vector w.
     """
 
     spaces: tuple[frozenset[int], ...]
     ids: dict[frozenset[int], int]
     covers: tuple[tuple[int, ...], ...]
+    translate: tuple[tuple[int, ...], ...]
 
     def image(self, vmap: tuple[int, ...]) -> tuple[int, ...]:
         """The id of the image of every subspace under an invertible vector_map."""
@@ -107,11 +109,10 @@ def subspace_lattice(n: int, q: int) -> SubspaceLattice:
     of `all_vectors` at each step.
     """
     vectors = list(all_vectors(n, q))
-    # translate[w][x] is the index of vector x + vector w
-    translate = [
-        [vector_index(tuple((a + b) % q for a, b in zip(u, w)), q) for u in vectors]
+    translate = tuple(
+        tuple(vector_index(tuple((a + b) % q for a, b in zip(u, w)), q) for u in vectors)
         for w in vectors
-    ]
+    )
     spaces = [frozenset({0})]
     ids = {spaces[0]: 0}
     covers = []
@@ -129,7 +130,7 @@ def subspace_lattice(n: int, q: int) -> SubspaceLattice:
                 spaces.append(cover)
             up.append(ids[cover])
         covers.append(tuple(up))
-    return SubspaceLattice(tuple(spaces), ids, tuple(covers))
+    return SubspaceLattice(tuple(spaces), ids, tuple(covers), translate)
 
 
 def nullspace_basis(rows, q: int) -> list[Vector]:

@@ -252,19 +252,23 @@ def ind_character(sigma: Perm, d: int, dp: int) -> int:
     """Trace of sigma on the signed pairing representation.
 
     The basis is indexed by pairings; sigma fixes a basis line iff it fixes the
-    pairing, that is iff sigma commutes with the pairing's partner map, and
-    then acts by the product over pairs {i < j} of the orientation sign of the
-    image pair.
+    pairing, that is iff sigma sends each of its pairs to a pair (the
+    singletons then go to singletons), and then acts by the product over
+    pairs {i < j} of the orientation sign of the image pair.
     """
     if len(sigma) != d + dp:
         raise ValueError(f"permutation has length {len(sigma)}, expected {d + dp}")
     s = [x - 1 for x in sigma]
     total = 0
     for partner, pairs in _pairing_arrays(d, dp):
-        if [s[p] for p in partner] != [partner[x] for x in s]:
-            continue
-        flips = sum(s[i] > s[j] for i, j in pairs)
-        total += -1 if flips % 2 else 1
+        sign = 1
+        for i, j in pairs:
+            if partner[s[i]] != s[j]:
+                break
+            if s[i] > s[j]:
+                sign = -sign
+        else:
+            total += sign
     return total
 
 

@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -241,6 +243,108 @@ def test_units_brute_cap():
         fc.count_commutant_units_brute((1,) * 6, 2)
 
 
+def _units_by_laplace(mu, q):
+    """Meet in the middle over the generalised Laplace expansion along the top rows.
+
+    det M is the signed sum over r-subsets S of columns, r = ceil(n/2), of
+    det(top rows, S) * det(bottom rows, complement of S).  The commutant C
+    splits as W + K, where K holds the elements of C whose top rows are zero,
+    so each element of C is w + k with the top rows of w.  The top-minor
+    vectors of W are binned by the bottom rows of w; for each such bottom
+    offset the bottom-minor vectors of offset + K are binned too, and the count
+    adds the product of the bin sizes over every bin pair whose Laplace sum is
+    nonzero mod q.
+    """
+    n = sum(mu)
+    if n == 0:
+        return 1
+    r = (n + 1) // 2
+    split = r * n
+    # row-major flattening puts the top r rows first, so the RREF rows with a
+    # pivot past `split` are a basis of K and the others span a complement W
+    basis = gf.rref([sum(b, ()) for b in gf.commutant_basis(fc.jordan_matrix(mu), q)], q)
+    complement = [v for v in basis if any(v[:split])]
+    kernel = [v[split:] for v in basis if not any(v[:split])]
+    minors = _minor_table(n, q)
+    laplace = _laplace_terms(n, r)
+    top_bins = defaultdict(Counter)
+    for v in _span((0,) * (n * n), complement, q):
+        top_bins[v[split:]][minors(_rows(v[:split], n))] += 1
+    count = 0
+    for offset, tops in top_bins.items():
+        bottoms = Counter(minors(_rows(v, n)) for v in _span(offset, kernel, q))
+        aligned = [(tuple(sign * m[i] for i, sign in laplace), c) for m, c in bottoms.items()]
+        for t, a in tops.items():
+            for b, c in aligned:
+                if sum(map(mul, t, b)) % q:
+                    count += a * c
+    return count
+
+
+def _laplace_terms(n, r):
+    """The generalised Laplace expansion of an n x n determinant along its top r rows.
+
+    One term per r-subset S of columns, in lexicographic order: the index of
+    the complement of S among the (n-r)-subsets, and the sign (-1)^(sum of S).
+    det M = (-1)^(r(r-1)/2) times the sum over S of sign * top minor(S) *
+    bottom minor(complement of S); the shared factor is left out.
+    """
+    bottom_index = {s: i for i, s in enumerate(itertools.combinations(range(n), n - r))}
+    return [
+        (bottom_index[tuple(j for j in range(n) if j not in s)], (-1) ** sum(s))
+        for s in itertools.combinations(range(n), r)
+    ]
+
+
+def _rows(flat, n):
+    return tuple(flat[i:i + n] for i in range(0, len(flat), n))
+
+
+def _span(start, vectors, q):
+    """start plus every F_q-combination of linearly independent vectors, once each."""
+    out = [start]
+    for v in vectors:
+        out += [tuple((x + c * y) % q for x, y in zip(e, v)) for c in range(1, q) for e in out]
+    return out
+
+
+def _minor_table(n, q):
+    """Memoized map from a k x n block (a tuple of rows) to its k x k minors mod q.
+
+    The minors are listed by column subset in lexicographic order.  Each is
+    expanded along the block's first row, so the minors of the rows below are
+    looked up, not recomputed, when blocks share them.
+    """
+    expansions = [[]]
+    for k in range(1, n + 1):
+        lower = {s: i for i, s in enumerate(itertools.combinations(range(n), k - 1))}
+        expansions.append(
+            [
+                [(j, lower[s[:i] + s[i + 1:]], (-1) ** i) for i, j in enumerate(s)]
+                for s in itertools.combinations(range(n), k)
+            ]
+        )
+    memo = {(): (1,)}
+
+    def minors(rows):
+        if rows not in memo:
+            first, below = rows[0], minors(rows[1:])
+            memo[rows] = tuple(
+                sum(sign * first[j] * below[t] for j, t, sign in terms) % q
+                for terms in expansions[len(rows)]
+            )
+        return memo[rows]
+
+    return minors
+
+
+def test_units_walk_matches_laplace_oracle():
+    for q, top in ((2, 5), (3, 4)):
+        for size in range(top + 1):
+            for mu in partitions(size):
+                assert fc.count_commutant_units_brute(mu, q) == _units_by_laplace(mu, q), (mu, q)
+
+
 def _det(m):
     """Determinant by plain cofactor expansion along the first row."""
     if not m:
@@ -255,9 +359,9 @@ def _laplace_sums(m, q):
     """(signed, unsigned) sum over top column subsets of top minor * bottom minor, mod q."""
     n = len(m)
     r = (n + 1) // 2
-    minors = fc._minor_table(n, q)
+    minors = _minor_table(n, q)
     top, bottom = minors(tuple(m[:r])), minors(tuple(m[r:]))
-    terms = [(top[s], bottom[i], sign) for s, (i, sign) in enumerate(fc._laplace_terms(n, r))]
+    terms = [(top[s], bottom[i], sign) for s, (i, sign) in enumerate(_laplace_terms(n, r))]
     signed = sum(sign * t * b for t, b, sign in terms) % q
     unsigned = sum(t * b for t, b, _ in terms) % q
     return signed, unsigned

@@ -156,6 +156,27 @@ def test_ind_character_examples():
             assert st.ind_character(identity_perm(d + dp), d, dp) == st.pairing_count(d, dp)
 
 
+def _ind_character_by_lists(sigma, d, dp):
+    """Slow oracle: sigma fixes a pairing iff sigma . partner == partner . sigma as lists."""
+    s = [x - 1 for x in sigma]
+    total = 0
+    for w in st.enumerate_pairings(d, dp):
+        partner = [j - 1 for j in w.mapping]
+        if [s[p] for p in partner] != [partner[x] for x in s]:
+            continue
+        flips = sum(s[i - 1] > s[j - 1] for i, j in w.pairs)
+        total += -1 if flips % 2 else 1
+    return total
+
+
+def test_ind_character_matches_list_oracle():
+    for total in range(7):
+        for d in range(total // 2 + 1):
+            dp = total - d
+            for sigma in st.all_perms(total):
+                assert st.ind_character(sigma, d, dp) == _ind_character_by_lists(sigma, d, dp), sigma
+
+
 def test_ind_character_is_class_function():
     for d, dp in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]:
         st.character_table(d, dp)  # raises ClassFunctionError otherwise
