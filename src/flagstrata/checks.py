@@ -104,16 +104,10 @@ def _mass_sweep(bounds, jobs):
 
 
 def _strata_vectors(bounds, jobs):
-    disjoint = sorted((j, jp) for j, jp, flag in st.enumerate_c_pairs(2, 2) if flag)
-    if disjoint != [((1, 2), (3, 4)), ((1, 3), (2, 4))]:
-        return 2, 2
-    for j, jp, want in [
-        ((1, 3), (2, 4), ["(1 2)(3 4)"]),
-        ((1, 2), (3, 4), ["(1 3)(2 4)", "(1 4)(2 3)"]),
-    ]:
-        if sorted(w.cycle_notation() for w in st.strata_involutions(j, jp, 4)) != want:
-            return j, jp
-    return None
+    want = {((1, 2), (3, 4)): ["(1 3)(2 4)", "(1 4)(2 3)"], ((1, 3), (2, 4)): ["(1 2)(3 4)"]}
+    c_pairs, _ = st.stratify(2, 2)
+    got = {(j, jp): sorted(w.cycle_notation() for w in ws) for j, jp, disjoint, ws in c_pairs if disjoint}
+    return None if got == want else (2, 2)
 
 
 def _induced_sweep(bounds, jobs):
@@ -121,16 +115,9 @@ def _induced_sweep(bounds, jobs):
     for total in range(bounds["induced_total"] + 1):
         for d in range(total // 2 + 1):
             dp = total - d
-            pairings = st.enumerate_pairings(d, dp)
-            if len(pairings) != st.pairing_count(d, dp):
+            if len(st.enumerate_pairings(d, dp)) != st.pairing_count(d, dp):
                 return "pairing-count", d, dp
-            strata = [
-                w
-                for j, jp, disjoint in st.enumerate_c_pairs(d, dp)
-                if disjoint
-                for w in st.strata_involutions(j, jp, total)
-            ]
-            if sorted(strata) != list(pairings):
+            if not st.stratify(d, dp)[1]:
                 return "strata-cover", d, dp
             if not st.verify_induced_realization(d, dp):
                 return d, dp

@@ -96,42 +96,32 @@ def cmd_strata(args, bounds):
     if not 0 <= d <= dp:
         raise ConfigError("need 0 <= d <= dp")
     rows = []
-    ok = True
     pairings = st.enumerate_pairings(d, dp)
-    covered = 0
+    strata, covers = st.stratify(d, dp)
     c_pairs = []
-    for j, jp, disjoint in st.enumerate_c_pairs(d, dp):
-        if disjoint:
-            ws = st.strata_involutions(j, jp, d + dp)
-            covered += len(ws)
-            names = [w.cycle_notation() for w in ws]
-        else:
-            names = []
+    for j, jp, disjoint, ws in strata:
+        names = [w.cycle_notation() for w in ws]
         c_pairs.append({"J": list(j), "Jp": list(jp), "disjoint": disjoint, "strata": names})
         rows.append(("c-pair", _fmt_vec(j), _fmt_vec(jp), disjoint, ";".join(names) or "-"))
-    if covered != len(pairings):
-        ok = False
-    rows.append(("pairings", len(pairings), "strata-cover", covered == len(pairings), "-"))
+    rows.append(("pairings", len(pairings), "strata-cover", covers, "-"))
     try:
         characters = st.character_table(d, dp)
     except st.ClassFunctionError as exc:
-        ok = False
-        characters = {}
+        characters = {}  # an empty table matches no induced character
         witness = [f"{_fmt_vec(sigma)}:{value}" for sigma, value in (exc.first, exc.second)]
         rows.append(("character-not-class-function", _fmt_vec(exc.ctype), *witness, "-"))
     for ctype, value in sorted(characters.items(), reverse=True):
         rows.append(("character", _fmt_vec(ctype), value, "-", "-"))
-    induced_ok = st.verify_induced_realization(d, dp) if d + dp <= st.PERM_SWEEP_MAX_DEGREE else "skipped"
-    if induced_ok is False:
-        ok = False
+    induced_ok = st.matches_induced(characters, d, dp) if d + dp <= st.PERM_SWEEP_MAX_DEGREE else "skipped"
     rows.append(("induced-model-match", induced_ok, "-", "-", "-"))
+    ok = covers and induced_ok is not False
     payload = {
         "d": d,
         "dp": dp,
         "pairings": [[list(b) for b in w.blocks] for w in pairings],
         "c_pairs": c_pairs,
         "characters": {_fmt_vec(ct): val for ct, val in sorted(characters.items(), reverse=True)},
-        "strata_cover": covered == len(pairings),
+        "strata_cover": covers,
         "induced_model_match": induced_ok,
     }
     return ("kind", "a", "b", "c", "d"), rows, ok, payload
@@ -172,8 +162,8 @@ def cmd_orbits(args, bounds):
     d, dp, q = args.d, args.dp, args.q
     if d < 0 or dp < 0:
         raise ConfigError("need d, dp >= 0")
-    if q not in (2, 3):
-        raise ConfigError("q must be 2 or 3")
+    if q not in ob.ORBIT_LIMIT:
+        raise ConfigError(f"q must be one of {', '.join(map(str, ob.ORBIT_LIMIT))}")
     if d + dp > ob.ORBIT_LIMIT[q]:
         raise ConfigError(f"d + dp capped at {ob.ORBIT_LIMIT[q]} for q={q}")
     count = ob.k_orbits(d, dp, q)

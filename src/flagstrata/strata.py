@@ -8,8 +8,8 @@ of length n with p[i-1] = image of i.
 
 Characters are class functions, so the invariant dimensions and the induced
 character are sums over cycle types weighted by class size, not over all n!
-permutations.  Up to degree PERM_SWEEP_MAX_DEGREE, verify_induced_realization
-and character_table keep the per-permutation sweep as the oracle for them.
+permutations.  Up to degree PERM_SWEEP_MAX_DEGREE, one per-permutation sweep in
+character_table is the oracle for them and, via matches_induced, the induced model.
 """
 
 from __future__ import annotations
@@ -222,6 +222,19 @@ def strata_involutions(j_set, jp_set, n: int | None = None) -> list[Involution]:
     return sorted(Involution.from_pairs(n, pairs) for pairs in matchings)
 
 
+def stratify(d: int, dp: int):
+    """Each C-pair (J, J', disjoint, strata), and whether the strata cover the pairings.
+
+    The cover holds when all strata, sorted, are enumerate_pairings(d, dp):
+    each pairing exactly once, not merely as many strata as pairings.
+    """
+    c_pairs = [
+        (j, jp, disjoint, strata_involutions(j, jp, d + dp) if disjoint else [])
+        for j, jp, disjoint in enumerate_c_pairs(d, dp)
+    ]
+    return c_pairs, sorted(w for *_, ws in c_pairs for w in ws) == list(enumerate_pairings(d, dp))
+
+
 # ---------------------------------------------------------------------------
 # the signed induced representation
 
@@ -334,19 +347,24 @@ def induced_character(sigma: Perm, d: int, dp: int) -> int | Fraction:
     return _induced_character_by_type(cycle_type(sigma), d, dp)
 
 
+def matches_induced(table: dict, d: int, dp: int) -> bool:
+    """A character table by cycle type equals the induced character on every type."""
+    return all(table.get(lam) == _induced_character_by_type(lam, d, dp) for lam in partitions(d + dp))
+
+
 def verify_induced_realization(d: int, dp: int) -> bool:
     """Signed pairing character equals the induced character at every permutation.
 
-    This is the per-permutation oracle: the trace is taken on the pairing
-    basis at each sigma, independently of the class sums behind the induced
-    character.
+    The per-permutation oracle: character_table sweeps the trace apart from the
+    class sums, and a class function matches at every permutation exactly
+    when it does on every cycle type.  A trace that is not one fails.
     """
     if d + dp > PERM_SWEEP_MAX_DEGREE:
         raise ValueError(f"full symmetric group sweep capped at degree {PERM_SWEEP_MAX_DEGREE}")
-    return all(
-        ind_character(sigma, d, dp) == induced_character(sigma, d, dp)
-        for sigma in all_perms(d + dp)
-    )
+    try:
+        return matches_induced(character_table(d, dp), d, dp)
+    except ClassFunctionError:
+        return False
 
 
 @lru_cache(maxsize=None)

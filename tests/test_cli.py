@@ -123,6 +123,22 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "schur-multiplicity-free\tFAIL" in out
     assert err == "schur-multiplicity-free: first failing cell (1, 0, 0)\n"
+    # as many strata as pairings, but one pairing repeated and the others missed
+    real = cli.st.strata_involutions
+    monkeypatch.setattr(cli.st, "strata_involutions", lambda j, jp, n: [real(j, jp, n)[0]] * len(real(j, jp, n)))
+    code, out, _ = run(capsys, "strata", "2", "2")
+    assert code == 1
+    assert "pairings\t3\tstrata-cover\tFalse\t-" in out.splitlines()
+
+
+def test_strata_sweeps_symmetric_group_once(capsys, monkeypatch):
+    # the character table and the induced-model check share one walk of S_{d+d'}
+    walks = []
+    real = cli.st.all_perms
+    monkeypatch.setattr(cli.st, "all_perms", lambda n: (walks.append(n), real(n))[1])
+    code, out, _ = run(capsys, "strata", "2", "3")
+    assert code == 0 and "induced-model-match\tTrue\t-\t-\t-" in out.splitlines()
+    assert walks == [5]
 
 
 def test_selftest_fast_bounds(capsys):
@@ -224,7 +240,7 @@ def test_patched_values_fail_under_optimize():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert "character-not-class-function\t2,1\t1,3,2:1\t2,1,3:2\t-" in lines
-    assert lines[lines.index("induced-model-match\tTrue\t-\t-\t-") + 1 :][:6] == [
+    assert lines[lines.index("induced-model-match\tFalse\t-\t-\t-") + 1 :][:6] == [
         "1", "Fraction(1, 2)", "(0, 0, 1)", "Fraction(1, 2)", "('flag-bundle', 2, 0, 0)",
         "('strata-cover', 0, 0)",
     ]

@@ -201,9 +201,27 @@ def test_character_table_above_sweep_cap(monkeypatch):
 
 
 def test_induced_realization():
-    for total in range(7):
+    for total in range(st.PERM_SWEEP_MAX_DEGREE + 1):
         for d in range(total // 2 + 1):
             assert st.verify_induced_realization(d, total - d)
+
+
+def test_induced_realization_rejects_wrong_traces(monkeypatch):
+    real = st.ind_character
+    # a class function one off on the transpositions alone
+    monkeypatch.setattr(
+        st, "ind_character", lambda sigma, d, dp: real(sigma, d, dp) + (st.cycle_type(sigma)[:2] == (2, 1))
+    )
+    assert st.character_table(1, 2) == {(1, 1, 1): 3, (2, 1): 0, (3,): 0}
+    assert not st.matches_induced(st.character_table(1, 2), 1, 2)
+    assert not st.verify_induced_realization(1, 2)
+    # a trace that is not a class function
+    monkeypatch.setattr(st, "ind_character", lambda sigma, d, dp: sigma[0])
+    with pytest.raises(st.ClassFunctionError):
+        st.character_table(1, 2)
+    assert not st.verify_induced_realization(1, 2)
+    # a table missing a cycle type matches nothing
+    assert not st.matches_induced({}, 0, 0)
 
 
 def test_invariants_dim_examples():
