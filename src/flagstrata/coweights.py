@@ -16,7 +16,7 @@ classes tested by :func:`classify` are:
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import ge, le
+from operator import ge, le, mul
 
 Vec = tuple[int, ...]
 
@@ -35,7 +35,7 @@ def pairing(a: Vec, b: Vec) -> int:
     """Standard inner product <a, b> = sum a_i b_i."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def weakly_decreasing(v) -> bool:

@@ -165,8 +165,8 @@ def j_set(lam: Vec, nu: Vec, levi: BlockLevi) -> list[Vec]:
     such blocks is then tested against nu literally.
     """
     _check_pair(lam, nu, levi)
-    candidates = _LeviKernel(levi).candidates(lam, min(nu), max(nu))
-    return [mu for mu in candidates if leq_g(dom_g(mu), nu)]
+    rows = _LeviKernel(levi).rows(lam, min(nu), max(nu))
+    return [mu for mu, mu_dom, _, _ in rows if leq_g(mu_dom, nu)]
 
 
 def _check_pair(lam: Vec, nu: Vec, levi: BlockLevi) -> None:
@@ -214,24 +214,27 @@ def verify_inequality(lam: Vec, nu: Vec, levi: BlockLevi) -> dict:
     fails the check.
     """
     kernel = _LeviKernel(levi)
-    # the bound <lam, gap> comes first, so a lam of the wrong length is
-    # reported by pairing before nu is looked at
-    witnesses = kernel.witnesses(lam)
+    # the bound <lam, gap> is read first: pairing reports a lam of the wrong
+    # length before nu is looked at
+    pairing(lam, kernel.rho_gap)
     _check_pair(lam, nu, levi)
-    return kernel.report(witnesses(min(nu), max(nu)), nu)
+    return kernel.report(kernel.kept(lam, min(nu), max(nu)), nu)
 
 
 class _LeviKernel:
     """What a sweep over one Levi computes once and reuses.
 
     The rho vectors, their gap and the antistandard flag are fixed by the
-    Levi.  The candidates of a lam are built from per-block choices cached on
-    (block values, lo, hi), and f and the dominant sort are cached per mu.
-    Each lam judges its candidates once, over the whole nu range, and keeps
-    the mu that have a witness; a report at nu is the kept mu below nu.  A
-    kernel lives for one sweep chunk or one public call, so nothing is kept
-    across sweeps.  It calls f_val and pairing through the module globals: a
-    rebound f_val or pairing takes effect from the next sweep on.
+    Levi.  The candidates of a lam depend on it only through its dom_m
+    class, the block-sorted lam, so each class gets its rows once per range:
+    (mu, dom_g(mu), f(mu), g(mu)) for each sorted candidate mu, built from
+    per-block choices cached on (block values, lo, hi) and from one row per
+    mu.  A lam with an entry outside [lo, hi] has no candidates and costs no
+    class lookup; any other lam costs at most three pairings and a walk over
+    its class rows.  A kernel lives for one sweep chunk or one public call,
+    so nothing is kept across sweeps.  It calls f_val and pairing through
+    the module globals: a rebound f_val or pairing takes effect from the
+    next sweep on.
     """
 
     def __init__(self, levi: BlockLevi):
@@ -242,7 +245,8 @@ class _LeviKernel:
         self.antistandard = is_antistandard(levi)
         self._index = [[p - 1 for p in block] for block in levi.blocks]
         self._choices: dict = {}
-        self._f: dict = {}
+        self._rows: dict = {}
+        self._mu_rows: dict = {}
 
     def block_choices(self, top: Vec, lo: int, hi: int) -> list[Vec]:
         """Decreasing tuples in [lo, hi] with the sum of top that lie above it.
@@ -257,65 +261,87 @@ class _LeviKernel:
             self._choices[key] = found
         return found
 
-    def candidates(self, lam: Vec, lo: int, hi: int) -> list[Vec]:
-        """Sorted Levi-dominant mu with entries in [lo, hi] above lam blockwise.
+    def rows(self, lam: Vec, lo: int, hi: int) -> list[tuple]:
+        """The rows of lam's dom_m class: one per candidate mu, in sorted order.
 
-        For a dominant nu with lo <= min(nu) and max(nu) <= hi, the squeeze
-        set of (lam, nu) is the candidates with leq_g(dom_g(mu), nu): that
-        test forces equal sums and the entries of mu into [min nu, max nu].
+        The candidates are the Levi-dominant mu with entries in [lo, hi]
+        above lam blockwise.  For a dominant nu with lo <= min(nu) and
+        max(nu) <= hi, the squeeze set of (lam, nu) is the candidates with
+        leq_g(dom_g(mu), nu): that test forces equal sums and the entries of
+        mu into [min nu, max nu].
         """
-        tops = (tuple(sorted((lam[i] for i in index), reverse=True)) for index in self._index)
-        per_block = [self.block_choices(top, lo, hi) for top in tops]
-        return sorted(_place(self.levi, combo) for combo in product(*per_block))
-
-    def f_and_dom(self, mu: Vec) -> tuple:
-        """(f_val(mu), dom_g(mu)); f_val is called at most once per mu."""
-        found = self._f.get(mu)
+        if min(lam) < lo or hi < max(lam):
+            # a block of mu above a block of lam starts at least as high and
+            # ends at least as low, so some block has no choice in [lo, hi]
+            return []
+        get = lam.__getitem__
+        tops = tuple([tuple(sorted(map(get, index), reverse=True)) for index in self._index])
+        key = (tops, lo, hi)
+        found = self._rows.get(key)
         if found is None:
-            found = self._f[mu] = (f_val(mu, self.levi), dom_g(mu))
+            per_block = [self.block_choices(top, lo, hi) for top in tops]
+            mus = sorted(_place(self.levi, combo) for combo in product(*per_block))
+            found = self._rows[key] = [self.mu_row(mu) for mu in mus]
         return found
 
-    def witnesses(self, lam: Vec):
-        """The witness list of lam as a function of the range [lo, hi].
+    def mu_row(self, mu: Vec) -> tuple:
+        """(mu, dom_g(mu), f_val(mu), g(mu)); f_val is called at most once per mu.
+
+        g(mu) = <mu, 2rho_M> - <dom_g(mu), 2rho> is the mu side of the
+        second arrangement of the bound: by bilinearity,
+        <lam + mu, 2rho_M> <= <lam + dom_g(mu), 2rho> is g(mu) <= r2(lam)
+        with r2(lam) = <lam, 2rho> - <lam, 2rho_M>.  Neither side reads
+        f_val or the gap, so a rebound f_val still shows as a mismatch.
+        """
+        found = self._mu_rows.get(mu)
+        if found is None:
+            mu_dom = dom_g(mu)
+            g = pairing(mu, self.rho_m) - pairing(mu_dom, self.rho)
+            found = self._mu_rows[mu] = (mu, mu_dom, f_val(mu, self.levi), g)
+        return found
+
+    def kept(self, lam: Vec, lo: int, hi: int) -> list[tuple[dict, bool]]:
+        """The witness list of lam over the range [lo, hi].
 
         It holds (witness, ok) for each candidate mu, in sorted order, that
-        has a witness; a mu without one adds nothing to any report.
+        has a witness; a mu without one adds nothing to any report.  A mu
+        has a witness exactly when it reaches the bound, breaks the second
+        arrangement, or is the blockwise reversal that the converse names,
+        so every other row costs three integer comparisons, and a lam with
+        no candidates costs no pairing.
         """
+        rows = self.rows(lam, lo, hi)
+        if not rows:
+            return []
         levi = self.levi
         rhs = pairing(lam, self.rho_gap)
+        r2 = pairing(lam, self.rho) - pairing(lam, self.rho_m)
         antidominant = weakly_increasing(lam)
         # only an antidominant lam has an expected configuration or a converse
         reversed_m, reversed_g = (w0_m(lam, levi), w0_g(lam)) if antidominant else (None, None)
         mu_star = reversed_m if self.antistandard else None
-
-        def judge(mu):
-            value, mu_dom = self.f_and_dom(mu)
-            # the same inequality rearranged; both forms must agree
+        out = []
+        for mu, mu_dom, value, g in rows:
+            if value < rhs and g <= r2 and mu != mu_star:
+                continue
+            # the same inequality in two arrangements; both must agree
             first = value <= rhs
-            second = pairing(
-                tuple(a + b for a, b in zip(lam, mu)), self.rho_m
-            ) <= pairing(tuple(a + b for a, b in zip(lam, mu_dom)), self.rho)
+            second = g <= r2
             found = {"mu": mu, "mu_dom": mu_dom, "f": value, "rhs": rhs}
             if not (first and second):
                 found["kind"] = "mismatch" if first != second else "violation"
-                return found, False
-            if mu == mu_star and value != rhs:
+                out.append((found, False))
+            elif mu == mu_star and value != rhs:
                 found["kind"] = "converse"
-                return found, False
-            if value != rhs:
-                return None, True
-            expected = antidominant and mu == reversed_m and mu_dom == reversed_g
-            found["kind"] = "equality"
-            found["expected_configuration"] = expected
-            found["lam_antidominant_g"] = antidominant
-            found["lam_antidominant_m"] = is_dominant_m(tuple(-x for x in lam), levi)
-            return found, expected or not self.antistandard
-
-        def kept(lo: int, hi: int) -> list[tuple[dict, bool]]:
-            verdicts = (judge(mu) for mu in self.candidates(lam, lo, hi))
-            return [verdict for verdict in verdicts if verdict[0] is not None]
-
-        return kept
+                out.append((found, False))
+            else:
+                expected = antidominant and mu == reversed_m and mu_dom == reversed_g
+                found["kind"] = "equality"
+                found["expected_configuration"] = expected
+                found["lam_antidominant_g"] = antidominant
+                found["lam_antidominant_m"] = is_dominant_m(tuple(-x for x in lam), levi)
+                out.append((found, expected or not self.antistandard))
+        return out
 
     def report(self, kept: list[tuple[dict, bool]], nu: Vec) -> dict:
         """verify_inequality's report at nu: the kept witnesses whose mu is below nu.
@@ -339,12 +365,13 @@ def _sweep_chunk(payload) -> tuple[bool, int, list, list]:
     failures = []
     for lam in lams:
         s = sum(lam)
-        if s not in nus_by_sum:
-            nus_by_sum[s] = list(_fixed_sum_tuples(n, -nu_bound, nu_bound, s))
-        total += len(nus_by_sum[s])
-        kept = kernel.witnesses(lam)(-nu_bound, nu_bound)
+        nus = nus_by_sum.get(s)
+        if nus is None:
+            nus = nus_by_sum[s] = list(_fixed_sum_tuples(n, -nu_bound, nu_bound, s))
+        total += len(nus)
+        kept = kernel.kept(lam, -nu_bound, nu_bound)
         # an empty witness list holds at every nu and reports nothing
-        for nu in nus_by_sum[s] if kept else ():
+        for nu in nus if kept else ():
             report = kernel.report(kept, nu)
             for w in report["witnesses"]:
                 if w["kind"] == "equality":

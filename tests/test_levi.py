@@ -320,6 +320,16 @@ def test_antistandard_enumeration_gl4():
     assert len(levis) == 5
 
 
+def test_antistandard_levis_are_counted_by_bell_numbers():
+    # a block Levi is antistandard exactly when no block holds both i and i + 1,
+    # so the antistandard Levis of GL_n are counted by Bell(n - 1)
+    assert [len(lv.antistandard_levis(n)) for n in range(1, 8)] == [1, 1, 2, 5, 15, 52, 203]
+    for n in range(1, 8):
+        for part in lv._set_partitions(list(range(1, n + 1))):
+            apart = not any(i in block and i + 1 in block for block in part for i in range(1, n))
+            assert lv.is_antistandard(lv.BlockLevi(n, [tuple(b) for b in part])) == apart, part
+
+
 def test_sweep_holds_small():
     res = lv.sweep_inequality(INTER4, 1, 1)
     assert res["holds"] and res["pairs_checked"] > 0 and not res["failures"]
@@ -429,6 +439,10 @@ def test_sweep_matches_slow_oracle():
     # rank 5: every antistandard Levi, one that is not, and the oracle-scale call
     cases += [(levi, 1, 1) for levi in lv.antistandard_levis(5)]
     cases += [(lv.parse_blocks(5, "[[1,2],[3,4],[5]]"), 1, 1), (lv.parse_blocks(5, "[[1,3,5],[2,4]]"), 1, 2)]
+    # lam beyond the nu range, where a lam with an entry outside it has no candidate
+    cases += [(levi, 2, 1) for levi in BLOCK_LEVIS]
+    # Levis that are not antistandard, where one dom_m class holds up to 24 lams
+    cases += [(lv.parse_blocks(4, blocks), 2, 2) for blocks in ("[[1,2,3],[4]]", "[[1,2,3,4]]", "[[1,2,4],[3]]")]
     for levi, lam_bound, nu_bound in cases:
         assert lv.sweep_inequality(levi, lam_bound, nu_bound) == oracle_sweep(levi, lam_bound, nu_bound), (
             str(levi), lam_bound, nu_bound,
@@ -472,3 +486,21 @@ def test_sweep_sees_rebound_f_val(monkeypatch):
     # f one below misses the converse; one above breaks only the first
     # arrangement of the bound
     assert kinds == {"converse", "mismatch"}
+
+
+def test_class_split_matches_literal_arrangement(monkeypatch):
+    # the sweep splits <lam + mu, 2rho_M> <= <lam + dom_g(mu), 2rho> into a mu side
+    # per class and a lam side per lam; under a weighted inner product, still
+    # bilinear, it must agree with the literal sums of the slow oracle
+    def weighted(a, b):
+        if len(a) != len(b):
+            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+        return sum((i + 1) * x * y for i, (x, y) in enumerate(zip(a, b)))
+
+    monkeypatch.setattr(lv, "pairing", weighted)
+    kinds = set()
+    for levi in (INTER4, STD4, lv.parse_blocks(4, "[[1,2,3],[4]]"), torus_levi(3)):
+        res = lv.sweep_inequality(levi, 1, 1)
+        assert res == oracle_sweep(levi, 1, 1), str(levi)
+        kinds |= {w["kind"] for _, _, report in res["failures"] for w in report["witnesses"]}
+    assert kinds == {"violation", "converse"}

@@ -1,0 +1,71 @@
+"""Every span the benchmark reads must exist in the package.
+
+perfbench/layers.py names functions, methods and lru caches of flagstrata by
+``module.name`` or ``module.Class.name``.  The tracer wraps only public names
+defined in their own module, and a metric whose span is missing is reported
+absent, so a rename or removal in the package would silently drop a metric
+from every traced run.  These tests resolve each name the way the tracer
+would.  Both benchmark files are loaded by path and left unchanged.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+layers = load("layers")
+tracer = load("tracer")
+
+
+def span_keys():
+    keys = set(layers.RESULT_HOOKS)
+    for table in (layers.CALLS, layers.INCLUSIVE, layers.CACHES):
+        keys |= set(table.values())
+    return sorted(keys)
+
+
+def resolve(key):
+    """The object the tracer would wrap under key, or None if it would wrap none."""
+    layer, *path = key.split(".")
+    if layer not in layers.LAYERS:
+        return None
+    module = importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+    owner, obj = None, module
+    for name in path:
+        # the tracer wraps its arithmetic dunders of a class, and no other private name
+        if name.startswith("_") and not (obj is not module and name in tracer.WRAPPED_DUNDERS):
+            return None
+        owner, obj = obj, vars(obj).get(name)
+        if obj is None:
+            return None
+    if owner is module:
+        # a re-imported name is wrapped under the module that defines it
+        return obj if obj.__module__ == module.__name__ and tracer._traceable(obj) else None
+    methods = (classmethod, staticmethod, property)
+    if inspect.isclass(owner) and (inspect.isfunction(obj) or isinstance(obj, methods)):
+        return obj
+    return None
+
+
+def test_layers_are_package_modules():
+    for layer in layers.LAYERS:
+        importlib.import_module(f"{tracer.PACKAGE}.{layer}")
+
+
+def test_every_traced_name_exists_and_is_public():
+    assert [key for key in span_keys() if resolve(key) is None] == []
+
+
+def test_every_traced_cache_has_cache_info():
+    caches = [resolve(key) for key in layers.CACHES.values()]
+    assert all(callable(getattr(fn, "cache_info", None)) for fn in caches), layers.CACHES
