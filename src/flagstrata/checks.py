@@ -61,7 +61,7 @@ def _schur_sweep(bounds, jobs):
 
 
 def _margin_sweep(bounds, jobs):
-    """Margin <= 0, zero exactly when interleaved, three ways; mass degree = margin - |mu'|."""
+    """Margin = -(chain drop) <= 0, zero exactly when interleaved, three ways; degree = margin - |mu'|."""
     top = bounds["margin_size"]
     for dd in range(top + 1):
         for pp in range(top + 1):
@@ -73,7 +73,7 @@ def _margin_sweep(bounds, jobs):
                     )
                     if margin > 0 or equal != cw.is_interleaved(mu, mup) or equal != (gap == 0):
                         return mu, mup
-                    if fc.fiber_mass_degree(mu, mup) != margin - pp:
+                    if margin != -gap or fc.fiber_mass_degree(mu, mup) != margin - pp:
                         return mu, mup
     return None
 

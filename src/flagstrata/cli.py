@@ -114,7 +114,11 @@ def cmd_strata(args, bounds):
         rows.append(("character", _fmt_vec(ctype), value, "-", "-"))
     induced_ok = st.matches_induced(characters, d, dp) if d + dp <= st.PERM_SWEEP_MAX_DEGREE else "skipped"
     rows.append(("induced-model-match", induced_ok, "-", "-", "-"))
-    ok = covers and induced_ok is not False
+    expected = st.pairing_count(d, dp)
+    counted = len(pairings) == expected
+    if not counted:
+        print(f"pairings: enumerated {len(pairings)}, pairing_count {expected}", file=sys.stderr)
+    ok = counted and covers and induced_ok is not False
     payload = {
         "d": d,
         "dp": dp,

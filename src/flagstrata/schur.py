@@ -6,16 +6,19 @@ integer coefficients, each key standing for its full orbit of monomials.
 Schur polynomials come from the branching rule: a semistandard tableau is a
 chain of horizontal strips (a Gelfand-Tsetlin pattern), peeled one letter at
 a time, and only chains with dominant content are followed.  The character
-is the independent oracle for every decomposition in this module; tableau
-enumeration is kept in the tests as the slow oracle for the character.
+of Sym^d(wedge^2 V) (x) Sym^{d'-d} V is counted directly at its dominant
+exponents, as loopless multigraphs with a given degree sequence; it reads no
+Schur polynomial, so it is an independent input to the decomposition that
+checks the multiplicity-free index.  Tableau enumeration, and the pair-multiset
+expansion times h_k multiplied monomial by monomial, are kept in the tests as
+the slow oracles for the two characters.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb
 
 from .coweights import (
     as_partition,
@@ -26,30 +29,6 @@ from .coweights import (
 )
 
 Exponent = tuple[int, ...]
-
-
-def _distinct_permutations(key: Exponent):
-    """Yield each distinct rearrangement of key once."""
-    counts = {value: key.count(value) for value in set(key)}
-    slots = [0] * len(key)
-
-    def place(i: int):
-        if i == len(slots):
-            yield tuple(slots)
-            return
-        for value, left in counts.items():
-            if left:
-                counts[value] = left - 1
-                slots[i] = value
-                yield from place(i + 1)
-                counts[value] = left
-
-    yield from place(0)
-
-
-def _orbit_size(key: Exponent) -> int:
-    """Number of distinct rearrangements of key."""
-    return factorial(len(key)) // prod(factorial(key.count(v)) for v in set(key))
 
 
 class SymPoly:
@@ -72,20 +51,6 @@ class SymPoly:
     @classmethod
     def zero(cls, nvars: int) -> "SymPoly":
         return cls(nvars, {})
-
-    @classmethod
-    def one(cls, nvars: int) -> "SymPoly":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    def full_monomials(self) -> dict[Exponent, int]:
-        out: dict[Exponent, int] = {}
-        for key, coeff in self.terms.items():
-            for perm in _distinct_permutations(key):
-                out[perm] = coeff
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         return (
@@ -122,40 +87,6 @@ class SymPoly:
         if c:
             out.terms = {k: c * v for k, v in self.terms.items()}
         return out
-
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        """Product computed at dominant targets only.
-
-        With b the factor with fewer monomials, every dominant exponent of the
-        product is sort(ka + eb) for a key ka of a and a monomial eb of b, and
-        its coefficient is the sum of b[eb] * a[sort(e - eb)] over eb <= e.
-        """
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        a, b = self, other
-        if sum(map(_orbit_size, b.terms)) > sum(map(_orbit_size, a.terms)):
-            a, b = b, a
-        full_b = b.full_monomials()
-        targets = {
-            tuple(sorted((x + y for x, y in zip(ka, eb)), reverse=True))
-            for ka in a.terms
-            for eb in full_b
-        }
-        acc: dict[Exponent, int] = {}
-        for e in targets:
-            total = 0
-            for eb, cb in full_b.items():
-                diff = [x - y for x, y in zip(e, eb)]
-                if min(diff) < 0:
-                    continue
-                total += cb * a.terms.get(tuple(sorted(diff, reverse=True)), 0)
-            acc[e] = total
-        return SymPoly(self.nvars, acc)
-
-    def leading(self) -> Exponent:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms)
 
     def __repr__(self):
         return f"SymPoly({self.nvars}, {dict(sorted(self.terms.items(), reverse=True))})"
@@ -215,35 +146,6 @@ def schur_poly(lam, nvars: int) -> SymPoly:
         return memo[key]
 
     return SymPoly(nvars, contents(pad(lam, nvars), 0))
-
-
-def complete_homogeneous(k: int, nvars: int) -> SymPoly:
-    """h_k(x_1..x_N): every monomial symmetric function of degree k, coefficient 1."""
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    if k == 0:
-        return SymPoly.one(nvars)
-    return SymPoly(nvars, {pad(p, nvars): 1 for p in partitions(k, max_parts=nvars)})
-
-
-def wedge2_power_char(d: int, nvars: int) -> SymPoly:
-    """Character of the d-th symmetric power of wedge^2 of the defining space.
-
-    Computed directly as h_d evaluated at the pairwise products x_i x_j, i < j.
-    """
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    pairs = list(combinations(range(nvars), 2))
-    acc: dict[Exponent, int] = defaultdict(int)
-    for combo in combinations_with_replacement(pairs, d):
-        e = [0] * nvars
-        for i, j in combo:
-            e[i] += 1
-            e[j] += 1
-        key = tuple(e)
-        if weakly_decreasing(key):
-            acc[key] += 1
-    return SymPoly(nvars, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +245,50 @@ def verify_index_reversal(n: int, d: int, dp: int) -> bool:
     return reversed_anti == dom and len(anti) == len(dom)
 
 
+def _spreads(k: int, caps: Exponent):
+    """Yield caps - m for every m <= caps with sum k: k edges of one vertex spread over the others."""
+    if not caps:
+        if k == 0:
+            yield ()
+        return
+    for m in range(max(0, k - sum(caps[1:])), min(k, caps[0]) + 1):
+        for tail in _spreads(k - m, caps[1:]):
+            yield (caps[0] - m,) + tail
+
+
 def product_char(n: int, d: int, dp: int) -> SymPoly:
-    """Character of Sym^d(wedge^2 V) tensor Sym^{d'-d} V for dim V = 2n."""
+    """Character of Sym^d(wedge^2 V) tensor Sym^{d'-d} V for dim V = 2n, counted at dominant exponents.
+
+    The coefficient at x^e counts pairs (G, S) with deg G + mult S = e, where G
+    is a loopless multigraph with d edges on the 2n variables and S a multiset
+    of d' - d of them.  Joining every point of S to one extra vertex makes each
+    pair a loopless multigraph on 2n + 1 vertices with degrees (e, d' - d), and
+    those are what is counted.  The count reads only monomials, never a Schur
+    polynomial or an index set, so it stays independent of the decomposition.
+    """
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
-    return wedge2_power_char(d, 2 * n) * complete_homogeneous(dp - d, 2 * n)
+    memo: dict[Exponent, int] = {}
+
+    def graphs(degrees: Exponent) -> int:
+        # loopless multigraphs with this degree sequence (decreasing, zeros dropped)
+        if not degrees:
+            return 1
+        if degrees not in memo:
+            first, rest = degrees[0], degrees[1:]
+            memo[degrees] = 0 if first > sum(rest) else sum(
+                graphs(tuple(sorted(filter(None, left), reverse=True)))
+                for left in _spreads(first, rest)
+            )
+        return memo[degrees]
+
+    return SymPoly(
+        2 * n,
+        {
+            pad(p, 2 * n): graphs(tuple(sorted(p + (dp - d,), reverse=True)))
+            for p in partitions(d + dp, max_parts=2 * n)
+        },
+    )
 
 
 def verify_multiplicity_free(n: int, d: int, dp: int) -> bool:

@@ -129,6 +129,14 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "strata", "2", "2")
     assert code == 1
     assert "pairings\t3\tstrata-cover\tFalse\t-" in out.splitlines()
+    # every pairing built and covered, but the closed-form count is off by one
+    monkeypatch.undo()
+    real_count = cli.st.pairing_count
+    monkeypatch.setattr(cli.st, "pairing_count", lambda d, dp: real_count(d, dp) + 1)
+    code, out, err = run(capsys, "strata", "2", "2")
+    assert code == 1
+    assert "pairings\t3\tstrata-cover\tTrue\t-" in out.splitlines()
+    assert err == "pairings: enumerated 3, pairing_count 4\n"
 
 
 def test_strata_sweeps_symmetric_group_once(capsys, monkeypatch):

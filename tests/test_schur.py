@@ -1,13 +1,15 @@
 """Schur calculus: branching characters, Pieri strips, the multiplicity-free index.
 
-schur_poly builds each character from chains of horizontal strips.  The slow
-oracles live here and share no code with that path: semistandard tableau
-enumeration for the character, the full monomial-by-monomial expansion for
-SymPoly products, and the Weyl product formula for dimensions.
+schur_poly builds each character from chains of horizontal strips, and
+product_char counts multigraphs by their degrees.  The slow oracles live here
+and share no code with those paths: semistandard tableau enumeration for the
+Schur character; every multiset of d pairs for the Sym^d(wedge^2) character
+and every monomial for h_k, multiplied monomial by monomial; and the Weyl
+product formula for dimensions.
 """
 
 from collections import defaultdict
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -64,6 +66,24 @@ def _full_product(a, b):
     return {e: c for e, c in acc.items() if c}
 
 
+def _wedge2_power(d, nvars):
+    """Dominant part of Sym^d(wedge^2): h_d at the x_i x_j, i < j, one multiset of pairs at a time."""
+    acc = defaultdict(int)
+    for combo in combinations_with_replacement(combinations(range(nvars), 2), d):
+        e = [0] * nvars
+        for i, j in combo:
+            e[i] += 1
+            e[j] += 1
+        if weakly_decreasing(e):
+            acc[tuple(e)] += 1
+    return sc.SymPoly(nvars, acc)
+
+
+def _complete_homogeneous(k, nvars):
+    """h_k(x_1..x_N): every dominant exponent of degree k, coefficient 1."""
+    return sc.SymPoly(nvars, {pad(p, nvars): 1 for p in partitions(k, max_parts=nvars)})
+
+
 def _weyl_dim(lam, nvars):
     """Dimension of the GL_N representation with highest weight lam (Weyl formula)."""
     lam = pad(lam, nvars)
@@ -111,21 +131,6 @@ def test_schur_poly_matches_tableau_oracle():
     assert cells == 183
 
 
-def test_sympoly_mul_matches_full_expansion():
-    cells = 0
-    for nvars in range(1, 5):
-        for size_a in range(5):
-            for lam_a in partitions(size_a, max_parts=nvars):
-                for size_b in range(4):
-                    for lam_b in partitions(size_b, max_parts=nvars):
-                        a, b = sc.schur_poly(lam_a, nvars), sc.schur_poly(lam_b, nvars)
-                        want = _full_product(a, b)
-                        assert (a * b).terms == want, (lam_a, lam_b, nvars)
-                        assert (b * a).terms == want, (lam_b, lam_a, nvars)
-                        cells += 1
-    assert cells == 235
-
-
 def test_schur_dimensions_match_weyl():
     for nvars in (2, 3, 4, 5):
         for size in range(6):
@@ -133,26 +138,19 @@ def test_schur_dimensions_match_weyl():
                 assert _eval_ones(sc.schur_poly(lam, nvars)) == _weyl_dim(lam, nvars)
 
 
-def test_sympoly_mul_matches_dimension():
-    a = sc.schur_poly((2, 1), 3)
-    b = sc.schur_poly((1, 1), 3)
-    prod = a * b
-    assert _eval_ones(prod) == _eval_ones(a) * _eval_ones(b)
-
-
 def test_wedge2_char_examples():
-    assert sc.decompose_schur(sc.wedge2_power_char(1, 4)) == {(1, 1): 1}
+    assert sc.decompose_schur(_wedge2_power(1, 4)) == {(1, 1): 1}
     for d in range(4):
         expected = {(d, d): 1} if d else {(): 1}
-        assert sc.decompose_schur(sc.wedge2_power_char(d, 2)) == expected
-    assert sc.decompose_schur(sc.wedge2_power_char(2, 4)) == {(2, 2): 1, (1, 1, 1, 1): 1}
+        assert sc.decompose_schur(_wedge2_power(d, 2)) == expected
+    assert sc.decompose_schur(_wedge2_power(2, 4)) == {(2, 2): 1, (1, 1, 1, 1): 1}
 
 
 def test_decompose_identity_and_classics():
     s = sc.schur_poly((3, 1), 4)
     assert sc.decompose_schur(s) == {(3, 1): 1}
     v = sc.schur_poly((1,), 2)
-    assert sc.decompose_schur(v * v) == {(2,): 1, (1, 1): 1}
+    assert sc.decompose_schur(sc.SymPoly(2, _full_product(v, v))) == {(2,): 1, (1, 1): 1}
 
 
 def test_decompose_rejects_non_characters():
@@ -183,7 +181,9 @@ def test_pieri_matches_character_product():
         for size in range(6):
             for lam in partitions(size, max_parts=nvars):
                 for k in range(4):
-                    product = sc.schur_poly(lam, nvars) * sc.complete_homogeneous(k, nvars)
+                    product = sc.SymPoly(
+                        nvars, _full_product(sc.schur_poly(lam, nvars), _complete_homogeneous(k, nvars))
+                    )
                     dec = sc.decompose_schur(product)
                     assert set(dec) == sc.pieri(lam, k, nvars)
                     assert all(mult == 1 for mult in dec.values())
@@ -202,6 +202,18 @@ def test_verify_multiplicity_free_examples():
     assert sc.verify_multiplicity_free(1, 1, 1)
     assert sc.verify_multiplicity_free(2, 2, 2)
     assert sc.verify_multiplicity_free(2, 1, 3)
+
+
+def test_product_char_matches_direct_expansion():
+    # the multigraph count against every multiset of d pairs times every monomial of h_{d'-d}
+    cells = 0
+    for n, top in ((1, 6), (2, 6), (3, 6), (4, 4)):
+        for d in range(top + 1):
+            for dp in range(d, top + 1):
+                want = _full_product(_wedge2_power(d, 2 * n), _complete_homogeneous(dp - d, 2 * n))
+                assert sc.product_char(n, d, dp).terms == want, (n, d, dp)
+                cells += 1
+    assert cells == 99
 
 
 def test_index_dimension_identity():
@@ -249,7 +261,7 @@ def test_antidominant_index_examples():
 def test_decomposition_json_shape():
     import json
 
-    dec = sc.decompose_schur(sc.wedge2_power_char(2, 4))
+    dec = sc.decompose_schur(_wedge2_power(2, 4))
     payload = json.dumps(
         [{"lambda": list(lam), "mult": mult} for lam, mult in sorted(dec.items(), reverse=True)]
     )
