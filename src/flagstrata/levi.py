@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
+from operator import ge
 
 from .coweights import pairing, weakly_decreasing, weakly_increasing
 
@@ -50,10 +52,12 @@ def parse_blocks(n: int, text: str) -> BlockLevi:
     return BlockLevi(n, [tuple(b) for b in data])
 
 
+@lru_cache(maxsize=None)
 def two_rho(n: int) -> Vec:
     return tuple(n - 1 - 2 * i for i in range(n))
 
 
+@lru_cache(maxsize=None)
 def two_rho_levi(levi: BlockLevi) -> Vec:
     out = [0] * levi.n
     for block in levi.blocks:
@@ -124,9 +128,16 @@ def _place(levi: BlockLevi, per_block) -> Vec:
 
 
 def is_dominant_m(lam: Vec, levi: BlockLevi) -> bool:
-    return all(
-        weakly_decreasing([lam[p - 1] for p in block]) for block in levi.blocks
-    )
+    firsts, seconds = _neighbours(levi)
+    get = lam.__getitem__
+    return all(map(ge, map(get, firsts), map(get, seconds)))
+
+
+@lru_cache(maxsize=None)
+def _neighbours(levi: BlockLevi) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The 0-based positions a and b of each pair of adjacent entries a before b in a block."""
+    pairs = [(a - 1, b - 1) for block in levi.blocks for a, b in zip(block, block[1:])]
+    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
 
 
 def leq_g(lam: Vec, mu: Vec) -> bool:

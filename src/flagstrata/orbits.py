@@ -8,6 +8,7 @@ invariants, so the two counts are genuinely independent.
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations
 
 from . import gf
@@ -119,21 +120,64 @@ class UnionFind:
         return out
 
 
+# The action of a generator on the flags depends only on the matrix and q, so
+# it is built once per process: a flag index per (n, q), and per (matrix, q)
+# the edges that join each cycle of its flag permutation.
+_FLAG_INDEX: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+_CYCLE_EDGES: dict[tuple[gf.Matrix, int], array] = {}
+
+
+def _cycle_edges(g: gf.Matrix, q: int, chains: list[tuple[int, ...]]) -> array:
+    """Flat (i, g.i) pairs along each cycle of g on the flags, closing step left out.
+
+    The cycles are walked from their smallest flag, so a fixed flag gives no
+    edge and a cycle of k flags gives k - 1.  A map that is not a bijection
+    on the flags raises ValueError.
+    """
+    key = (g, q)
+    edges = _CYCLE_EDGES.get(key)
+    if edges is not None:
+        return edges
+    n = len(g)
+    index = _FLAG_INDEX.get((n, q))
+    if index is None:
+        index = _FLAG_INDEX[(n, q)] = {chain: i for i, chain in enumerate(chains)}
+    image = gf.subspace_lattice(n, q).image(gf.vector_map(g, n, q))
+    perm = [index.get(tuple([image[s] for s in chain])) for chain in chains]
+    if None in perm or len(set(perm)) != len(perm):
+        raise ValueError(f"generator {g} does not permute the complete flags of F_{q}^{n}")
+    pairs: list[int] = []
+    seen = bytearray(len(perm))
+    for start, j in enumerate(perm):
+        if seen[start] or j == start:
+            continue
+        i = start
+        while j != start:
+            pairs += (i, j)
+            seen[j] = 1
+            i, j = j, perm[j]
+    edges = array("i", pairs)
+    _CYCLE_EDGES[key] = edges
+    return edges
+
+
 def orbit_decomposition(d: int, dp: int, q: int) -> list[list[tuple[int, ...]]]:
-    """Orbits of the block subgroup on complete flags, by union-find closure."""
+    """Orbits of the block subgroup on complete flags, by union-find closure.
+
+    Flags are joined along the cycles of each generator's flag permutation;
+    the orbits come ordered by their smallest flag, members ascending.
+    """
     if q not in ORBIT_LIMIT:
         raise ValueError("only q = 2 and q = 3 are supported")
     n = d + dp
     if n > ORBIT_LIMIT[q]:
         raise ValueError(f"orbit enumeration capped at dimension {ORBIT_LIMIT[q]} for q={q}")
-    lattice = gf.subspace_lattice(n, q)
     chains = all_flags(n, q)
-    index = {chain: i for i, chain in enumerate(chains)}
     uf = UnionFind(len(chains))
     for g in block_group_generators(d, dp, q):
-        image = lattice.image(gf.vector_map(g, n, q))
-        for chain, i in index.items():
-            uf.union(i, index[tuple(image[s] for s in chain)])
+        pairs = iter(_cycle_edges(g, q, chains))
+        for a, b in zip(pairs, pairs):
+            uf.union(a, b)
     return [[chains[i] for i in members] for members in uf.groups().values()]
 
 
@@ -142,9 +186,13 @@ def k_orbits(d: int, dp: int, q: int) -> int:
 
 
 def verify_counts(d: int, dp: int, q: int) -> bool:
-    """Orbit count must match both classifying-pair counts."""
+    """Orbit count must match both classifying-pair counts, and the orbits must hold all [n]_q! flags."""
+    orbits = orbit_decomposition(d, dp, q)
     expected = len(classifying_pairs(d, dp))
-    return k_orbits(d, dp, q) == expected == len(dual_classifying_pairs(d, dp))
+    return (
+        len(orbits) == expected == len(dual_classifying_pairs(d, dp))
+        and sum(map(len, orbits)) == flag_total(d + dp, q)
+    )
 
 
 def pair_to_json(w: Involution, j: tuple[int, ...]) -> dict:

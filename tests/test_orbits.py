@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-from flagstrata import gf
+from flagstrata import checks, cli, gf
 from flagstrata import orbits as ob
 
 
@@ -74,14 +74,17 @@ def _echelon_flags(n, q):
     return flags
 
 
+def _echelon_move(g, flag, q):
+    return tuple(gf.rref(tuple(gf.mat_vec(g, row, q) for row in sub), q) for sub in flag)
+
+
 def _echelon_orbits(d, dp, q):
     flags = _echelon_flags(d + dp, q)
     index = {flag: i for i, flag in enumerate(flags)}
     uf = ob.UnionFind(len(flags))
     for flag, i in index.items():
         for g in ob.block_group_generators(d, dp, q):
-            moved = tuple(gf.rref(tuple(gf.mat_vec(g, row, q) for row in sub), q) for sub in flag)
-            uf.union(i, index[moved])
+            uf.union(i, index[_echelon_move(g, flag, q)])
     return [[flags[i] for i in members] for members in uf.groups().values()]
 
 
@@ -105,6 +108,96 @@ def test_lattice_flags_match_echelon_oracle():
                 got = {frozenset(map(decode, orbit)) for orbit in orbits}
                 want = {frozenset(orbit) for orbit in _echelon_orbits(d, total - d, q)}
                 assert got == want, (d, total - d, q)
+
+
+# The per-call closure: every generator's image of every flag, built afresh on
+# each call and all unioned, with no cache and no cycle reduction.
+
+def _per_call_orbits(d, dp, q):
+    n = d + dp
+    lattice = gf.subspace_lattice(n, q)
+    chains = ob.all_flags(n, q)
+    index = {chain: i for i, chain in enumerate(chains)}
+    uf = ob.UnionFind(len(chains))
+    for g in ob.block_group_generators(d, dp, q):
+        image = lattice.image(gf.vector_map(g, n, q))
+        for chain, i in index.items():
+            uf.union(i, index[tuple(image[s] for s in chain)])
+    return [[chains[i] for i in members] for members in uf.groups().values()]
+
+
+def _cells_q3_first():
+    """Every (d, dp, q) inside ORBIT_LIMIT, q = 3 before q = 2 at each dimension."""
+    for n in range(max(ob.ORBIT_LIMIT.values()) + 1):
+        for q in (3, 2):
+            if n <= ob.ORBIT_LIMIT[q]:
+                for d in range(n + 1):
+                    yield d, n - d, q
+
+
+def test_cached_closure_matches_per_call_oracle():
+    # one process over both q: a flag action cached without q would be reused
+    # across fields, where the same matrix moves other flags
+    cells = list(_cells_q3_first())
+    assert len(cells) == 36
+    for d, dp, q in cells:
+        assert ob.orbit_decomposition(d, dp, q) == _per_call_orbits(d, dp, q), (d, dp, q)
+
+
+def test_closure_follows_rebound_generators(monkeypatch):
+    real = ob.block_group_generators
+    counts = {(d, n - d): ob.k_orbits(d, n - d, 3) for n in range(5) for d in range(n + 1)}
+
+    def without_diagonals(d, dp, q):
+        n = d + dp
+        return [g for g in real(d, dp, q) if any(g[a][b] for a in range(n) for b in range(n) if a != b)]
+
+    monkeypatch.setattr(ob, "block_group_generators", without_diagonals)
+    changed = 0
+    for (d, dp), count in counts.items():
+        orbits = ob.orbit_decomposition(d, dp, 3)
+        assert orbits == _per_call_orbits(d, dp, 3), (d, dp)
+        changed += len(orbits) != count
+    # SL_d x SL_d' has more orbits than GL_d x GL_d' wherever a block has size 1
+    assert changed > 0
+
+
+def test_cycle_edges_skip_each_closing_step():
+    """The edges of a generator are (i, g.i) for every flag i not mapped to its cycle's smallest flag."""
+    for d, dp, q in [(1, 2, 2), (2, 2, 2), (1, 3, 2), (1, 2, 3)]:
+        n = d + dp
+        chains = ob.all_flags(n, q)
+        decode = _echelon_decoder(n, q)
+        position = {decode(chain): i for i, chain in enumerate(chains)}
+        for g in ob.block_group_generators(d, dp, q):
+            perm = [position[_echelon_move(g, decode(chain), q)] for chain in chains]
+            lowest = []
+            for i in range(len(perm)):
+                cycle = [i]
+                while perm[cycle[-1]] != i:
+                    cycle.append(perm[cycle[-1]])
+                lowest.append(min(cycle))
+            want = sorted((i, j) for i, j in enumerate(perm) if j != lowest[i])
+            edges = ob._cycle_edges(g, q, chains)
+            assert sorted(zip(edges[::2], edges[1::2])) == want, (d, dp, q, g)
+
+
+def test_generator_that_does_not_permute_flags_raises(monkeypatch, capsys):
+    singular = ((1, 0), (0, 0))
+    monkeypatch.setattr(ob, "block_group_generators", lambda d, dp, q: [singular])
+    with pytest.raises(ValueError):
+        ob.orbit_decomposition(1, 1, 2)
+    # raised inside a verification, so the command exits 1
+    assert cli.main(["orbits", "1", "1", "2"]) == 1
+    assert "does not permute" in capsys.readouterr().err
+
+
+def test_orbit_criterion_checks_flag_total(monkeypatch):
+    real = ob.flag_total
+    (check,) = [c for c in checks.CHECKS if c.name == "orbit-counts-vs-classifying-pairs"]
+    assert check.run(checks.DEFAULT_BOUNDS, 1) is None
+    monkeypatch.setattr(ob, "flag_total", lambda n, q: real(n, q) + 1)
+    assert check.run(checks.DEFAULT_BOUNDS, 1) == (0, 0, 2)
 
 
 def test_flags_are_strict_chains():
