@@ -51,10 +51,8 @@ def _parse_bounds(pairs) -> dict[str, int]:
     return bounds
 
 
-def _emit(rows, header, fmt, payload=None):
+def _emit(header, rows, fmt, payload):
     if fmt == "json":
-        if payload is None:
-            payload = [dict(zip(header, row)) for row in rows]
         print(json.dumps(payload, default=str))
     else:
         print("\t".join(header))
@@ -62,12 +60,17 @@ def _emit(rows, header, fmt, payload=None):
             print("\t".join(str(x) for x in row))
 
 
+def _records(header, rows) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _fmt_vec(v) -> str:
     return cw.format_coweight(v) if v else "-"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each builds its values once, and both the TSV rows and the
+# JSON payload are read from them
 
 
 def cmd_schur(args, bounds):
@@ -76,16 +79,15 @@ def cmd_schur(args, bounds):
         raise ConfigError("need n >= 1 and 0 <= d <= dp")
     dec = sc.decompose_schur(sc.product_char(n, d, dp))
     index = sc.dominant_index(n, d, dp)
-    rows = []
-    for lam in sorted(dec, reverse=True):
-        rows.append((_fmt_vec(lam), dec[lam], lam in index))
+    terms = sorted(dec.items(), reverse=True)
     ok = dec == {lam: 1 for lam in index}
+    rows = [(_fmt_vec(lam), mult, lam in index) for lam, mult in terms]
     rows.append(("all-multiplicity-one-and-index-exact", len(index), ok))
     payload = {
         "n": n,
         "d": d,
         "dp": dp,
-        "decomposition": sc.decomposition_to_json(dec),
+        "decomposition": [{"lambda": list(lam), "mult": mult} for lam, mult in terms],
         "match": ok,
     }
     return ("lambda", "mult", "match"), rows, ok, payload
@@ -95,38 +97,48 @@ def cmd_strata(args, bounds):
     d, dp = args.d, args.dp
     if not 0 <= d <= dp:
         raise ConfigError("need 0 <= d <= dp")
-    rows = []
     pairings = st.enumerate_pairings(d, dp)
     strata, covers = st.stratify(d, dp)
-    c_pairs = []
-    for j, jp, disjoint, ws in strata:
-        names = [w.cycle_notation() for w in ws]
-        c_pairs.append({"J": list(j), "Jp": list(jp), "disjoint": disjoint, "strata": names})
-        rows.append(("c-pair", _fmt_vec(j), _fmt_vec(jp), disjoint, ";".join(names) or "-"))
+    c_pairs = [(j, jp, disjoint, [w.cycle_notation() for w in ws]) for j, jp, disjoint, ws in strata]
+    rows = [
+        ("c-pair", _fmt_vec(j), _fmt_vec(jp), disjoint, ";".join(names) or "-")
+        for j, jp, disjoint, names in c_pairs
+    ]
     rows.append(("pairings", len(pairings), "strata-cover", covers, "-"))
+    failures = {}  # the witness of each failure that no other field shows
+    expected = st.pairing_count(d, dp)
+    if len(pairings) != expected:
+        print(f"pairings: enumerated {len(pairings)}, pairing_count {expected}", file=sys.stderr)
+        failures["pairing_count_mismatch"] = {"enumerated": len(pairings), "pairing_count": expected}
+        rows.append(("pairing-count-mismatch", len(pairings), expected, "-", "-"))
     try:
         characters = st.character_table(d, dp)
     except st.ClassFunctionError as exc:
         characters = {}  # an empty table matches no induced character
-        witness = [f"{_fmt_vec(sigma)}:{value}" for sigma, value in (exc.first, exc.second)]
+        traces = (exc.first, exc.second)
+        failures["character_not_class_function"] = {
+            "ctype": list(exc.ctype),
+            "traces": [{"sigma": list(sigma), "value": value} for sigma, value in traces],
+        }
+        witness = [f"{_fmt_vec(sigma)}:{value}" for sigma, value in traces]
         rows.append(("character-not-class-function", _fmt_vec(exc.ctype), *witness, "-"))
-    for ctype, value in sorted(characters.items(), reverse=True):
-        rows.append(("character", _fmt_vec(ctype), value, "-", "-"))
+    table = sorted(characters.items(), reverse=True)
+    rows += [("character", _fmt_vec(ctype), value, "-", "-") for ctype, value in table]
     induced_ok = st.matches_induced(characters, d, dp) if d + dp <= st.PERM_SWEEP_MAX_DEGREE else "skipped"
     rows.append(("induced-model-match", induced_ok, "-", "-", "-"))
-    expected = st.pairing_count(d, dp)
-    counted = len(pairings) == expected
-    if not counted:
-        print(f"pairings: enumerated {len(pairings)}, pairing_count {expected}", file=sys.stderr)
-    ok = counted and covers and induced_ok is not False
+    ok = not failures and covers and induced_ok is not False
     payload = {
         "d": d,
         "dp": dp,
         "pairings": [[list(b) for b in w.blocks] for w in pairings],
-        "c_pairs": c_pairs,
-        "characters": {_fmt_vec(ct): val for ct, val in sorted(characters.items(), reverse=True)},
+        "c_pairs": [
+            {"J": list(j), "Jp": list(jp), "disjoint": disjoint, "strata": names}
+            for j, jp, disjoint, names in c_pairs
+        ],
+        "characters": {_fmt_vec(ctype): value for ctype, value in table},
         "strata_cover": covers,
         "induced_model_match": induced_ok,
+        **failures,
     }
     return ("kind", "a", "b", "c", "d"), rows, ok, payload
 
@@ -135,13 +147,12 @@ def cmd_flagdim(args, bounds):
     dmax = args.dmax
     if dmax < 0:
         raise ConfigError("need dmax >= 0")
+    header = ("mu", "mup", "degree", "margin", "interleaved", "ok")
     rows = []
-    ok = True
     for mu, mup, deg, margin, inter in fc.fiber_mass_table(dmax):
         good = margin <= 0 and (margin == 0) == inter and deg == margin - sum(mup)
-        ok = ok and good
         rows.append((_fmt_vec(mu), _fmt_vec(mup), deg, margin, inter, good))
-    return ("mu", "mup", "degree", "margin", "interleaved", "ok"), rows, ok, None
+    return header, rows, all(row[-1] for row in rows), _records(header, rows)
 
 
 def cmd_fibermass(args, bounds):
@@ -159,7 +170,8 @@ def cmd_fibermass(args, bounds):
         rows.append(("mass-premise-failed", exc.mu, exc.mup, exc.leading, "-", "-"))
         return header, rows, False, payload
     ok = deg == -dp and lead == expected
-    return header, [(d, dp, deg, lead, expected, ok)], ok, None
+    rows = [(d, dp, deg, lead, expected, ok)]
+    return header, rows, ok, _records(header, rows)
 
 
 def cmd_orbits(args, bounds):
@@ -170,17 +182,18 @@ def cmd_orbits(args, bounds):
         raise ConfigError(f"q must be one of {', '.join(map(str, ob.ORBIT_LIMIT))}")
     if d + dp > ob.ORBIT_LIMIT[q]:
         raise ConfigError(f"d + dp capped at {ob.ORBIT_LIMIT[q]} for q={q}")
-    count = ob.k_orbits(d, dp, q)
-    bar = ob.classifying_pairs(d, dp)
+    orbits = ob.orbit_decomposition(d, dp, q)
+    pairs = ob.classifying_pairs(d, dp)
     dual = len(ob.dual_classifying_pairs(d, dp))
-    ok = count == len(bar) == dual
-    rows = [(d, dp, q, count, len(bar), dual, ok)]
+    # the conditions of ob.verify_counts, on this one decomposition
+    ok = len(orbits) == len(pairs) == dual and sum(map(len, orbits)) == ob.flag_total(d + dp, q)
+    rows = [(d, dp, q, len(orbits), len(pairs), dual, ok)]
     payload = {
         "d": d,
         "dp": dp,
         "q": q,
-        "orbits": count,
-        "pairs": [ob.pair_to_json(w, j) for w, j in bar],
+        "orbits": len(orbits),
+        "pairs": [{"w": w.cycle_notation(), "J": list(j)} for w, j in pairs],
         "dual_pair_count": dual,
         "match": ok,
     }
@@ -234,11 +247,8 @@ def cmd_levi(args, bounds):
     return ("levi", "antistandard", "pairs", "equalities", "failures", "holds"), rows, res["holds"], payload
 
 
-# ---------------------------------------------------------------------------
-# selftest
-
-
 def cmd_selftest(args, bounds):
+    header = ("check", "status")
     rows = []
     ok = True
     for check in CHECKS:
@@ -247,7 +257,7 @@ def cmd_selftest(args, bounds):
             ok = False
             print(f"{check.name}: first failing cell {witness}", file=sys.stderr)
         rows.append((check.name, "PASS" if witness is None else "FAIL"))
-    return ("check", "status"), rows, ok, None
+    return header, rows, ok, _records(header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +346,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a formula fault inside a verification, not bad config
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(rows, header, args.format, payload)
+    _emit(header, rows, args.format, payload)
     return 0 if ok else 1
 
 

@@ -126,14 +126,6 @@ def partitions(n: int, max_parts: int | None = None, max_part: int | None = None
     yield from gen(n, bound, limit)
 
 
-def parse_coweight(text: str) -> Vec:
-    """Parse a comma-separated integer vector, e.g. "2,-1,0"."""
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(","))
-
-
 def format_coweight(v: Vec) -> str:
     return ",".join(str(x) for x in v)
 

@@ -193,7 +193,3 @@ def verify_counts(d: int, dp: int, q: int) -> bool:
         len(orbits) == expected == len(dual_classifying_pairs(d, dp))
         and sum(map(len, orbits)) == flag_total(d + dp, q)
     )
-
-
-def pair_to_json(w: Involution, j: tuple[int, ...]) -> dict:
-    return {"w": w.cycle_notation(), "J": list(j)}

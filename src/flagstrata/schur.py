@@ -48,10 +48,6 @@ class SymPoly:
                 raise ValueError(f"bad dominant exponent {key} for {nvars} variables")
             self.terms[tuple(key)] = coeff
 
-    @classmethod
-    def zero(cls, nvars: int) -> "SymPoly":
-        return cls(nvars, {})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SymPoly)
@@ -61,32 +57,6 @@ class SymPoly:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def _combine(self, other: "SymPoly", sign: int) -> "SymPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            val = terms.get(key, 0) + sign * coeff
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
-        out = SymPoly.zero(self.nvars)
-        out.terms = terms
-        return out
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self._combine(other, -1)
-
-    def scale(self, c: int) -> "SymPoly":
-        out = SymPoly.zero(self.nvars)
-        if c:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-        return out
 
     def __repr__(self):
         return f"SymPoly({self.nvars}, {dict(sorted(self.terms.items(), reverse=True))})"
@@ -316,11 +286,3 @@ def pieri_source(lam, n: int, d: int, dp: int) -> Exponent:
 def index_dim_product(n: int, d: int, dp: int) -> int:
     """Closed-form dimension of the product character at x = 1."""
     return comb(comb(2 * n, 2) + d - 1, d) * comb(2 * n + dp - d - 1, dp - d)
-
-
-def decomposition_to_json(dec: dict[Exponent, int]) -> list[dict]:
-    """Canonical JSON form: [{"lambda": [...], "mult": k}, ...], largest first."""
-    return [
-        {"lambda": list(lam), "mult": mult}
-        for lam, mult in sorted(dec.items(), reverse=True)
-    ]

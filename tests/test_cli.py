@@ -129,6 +129,8 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     code, out, _ = run(capsys, "strata", "2", "2")
     assert code == 1
     assert "pairings\t3\tstrata-cover\tFalse\t-" in out.splitlines()
+    code, out, _ = run(capsys, "--format", "json", "strata", "2", "2")
+    assert code == 1 and json.loads(out)["strata_cover"] is False
     # every pairing built and covered, but the closed-form count is off by one
     monkeypatch.undo()
     real_count = cli.st.pairing_count
@@ -137,6 +139,30 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "pairings\t3\tstrata-cover\tTrue\t-" in out.splitlines()
     assert err == "pairings: enumerated 3, pairing_count 4\n"
+    # both formats carry the count that failed, not only stderr
+    assert "pairing-count-mismatch\t3\t4\t-\t-" in out.splitlines()
+    code, out, _ = run(capsys, "--format", "json", "strata", "2", "2")
+    data = json.loads(out)
+    assert code == 1 and data["strata_cover"] is True and data["induced_model_match"] is True
+    assert data["pairing_count_mismatch"] == {"enumerated": 3, "pairing_count": 4}
+
+
+def test_orbits_missing_flag_exits_1(capsys, monkeypatch):
+    # the orbits drop one flag but keep their count: the [n]_q! total must catch it
+    real = cli.ob.orbit_decomposition
+
+    def missing_one(d, dp, q):
+        orbits = real(d, dp, q)
+        return orbits[:-1] + [orbits[-1][1:]]
+
+    monkeypatch.setattr(cli.ob, "orbit_decomposition", missing_one)
+    assert not cli.ob.verify_counts(1, 2, 2)
+    code, out, _ = run(capsys, "orbits", "1", "2", "2")
+    assert code == 1
+    assert out.splitlines()[1:] == ["1\t2\t2\t6\t6\t6\tFalse"]
+    code, out, _ = run(capsys, "--format", "json", "orbits", "1", "2", "2")
+    data = json.loads(out)
+    assert code == 1 and data["orbits"] == 6 and data["match"] is False
 
 
 def test_strata_sweeps_symmetric_group_once(capsys, monkeypatch):
@@ -209,6 +235,7 @@ real_even = cw.flag_bundle_dim_even
 # a trace that differs inside one cycle type
 st.ind_character = lambda sigma, d, dp: sigma[0]
 st.verify_induced_realization = lambda d, dp: True
+print(cli.main(["--format", "json", "strata", "1", "2"]))
 print(cli.main(["strata", "1", "2"]))
 # one more at the identity: the invariant dimension of (1, 1) at r = 1 becomes 1/2
 st.ind_character = lambda sigma, d, dp: real_character(sigma, d, dp) + (sigma == tuple(sorted(sigma)))
@@ -248,6 +275,12 @@ def test_patched_values_fail_under_optimize():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert "character-not-class-function\t2,1\t1,3,2:1\t2,1,3:2\t-" in lines
+    # the JSON carries the same witness, and exits 1 as the TSV does
+    data = json.loads(lines[0])
+    assert lines[1] == "1" and data["characters"] == {} and data["induced_model_match"] is False
+    assert data["character_not_class_function"] == {
+        "ctype": [2, 1], "traces": [{"sigma": [1, 3, 2], "value": 1}, {"sigma": [2, 1, 3], "value": 2}],
+    }
     assert lines[lines.index("induced-model-match\tFalse\t-\t-\t-") + 1 :][:6] == [
         "1", "Fraction(1, 2)", "(0, 0, 1)", "Fraction(1, 2)", "('flag-bundle', 2, 0, 0)",
         "('strata-cover', 0, 0)",

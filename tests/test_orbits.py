@@ -274,8 +274,3 @@ def test_size_caps():
         ob.k_orbits(2, 3, 3)
     with pytest.raises(ValueError):
         ob.k_orbits(1, 1, 5)
-
-
-def test_pair_serialization():
-    w = ob.enumerate_involutions(2, 1)[-1]
-    assert ob.pair_to_json(w, (2,)) == {"w": "(1 2)", "J": [2]}
