@@ -44,6 +44,10 @@ BOUND_CAPS = {
     "brute_aut_size": min(fc.BRUTE_FLAG_LIMIT.values()),
 }
 
+# At 0 these bounds would leave their criterion, or a family of its cells,
+# with nothing to check and a vacuous PASS, so they must be at least 1.
+POSITIVE_BOUNDS = ("schur_n", "invariants_r", "levi_rank", "identity_n")
+
 
 class Check(NamedTuple):
     name: str
@@ -79,14 +83,21 @@ def _margin_sweep(bounds, jobs):
 
 
 def _brute_count_sweep(bounds, jobs):
+    """Both polynomials against brute force, and their degrees against the dimension formulas."""
     for size in range(bounds["brute_flag_size"] + 1):
         for mu in cw.partitions(size):
-            if fc.count_flags_poly(mu)(2) != fc.count_flags_brute(mu, 2):
+            flags = fc.count_flags_poly(mu)
+            if flags(2) != fc.count_flags_brute(mu, 2):
                 return "flags", mu, 2
+            if flags.degree != cw.complete_flag_dim(mu):
+                return "flags-degree", mu
     for size in range(bounds["brute_aut_size"] + 1):
         for mu in cw.partitions(size):
+            units = fc.aut_order_poly(mu)
+            if units.degree != cw.automorphism_dim(mu):
+                return "units-degree", mu
             for q in (2, 3):
-                if fc.aut_order_poly(mu)(q) != fc.count_commutant_units_brute(mu, q):
+                if units(q) != fc.count_commutant_units_brute(mu, q):
                     return "units", mu, q
     return None
 
@@ -166,9 +177,17 @@ def _identity_audit(bounds, jobs):
                     return "flag-bundle", n, r, g
     for n in range(1, 4):
         for d in range(5):
+            square = sc.dominant_index(n, d, d)
             for dp in range(d, 5):
                 if not sc.verify_index_reversal(n, d, dp):
                     return "index-reversal", n, d, dp
+                # the (d, d') index is tiled by the Pieri strips of its sources in the (d, d) index
+                index = sc.dominant_index(n, d, dp)
+                sources = {sc.pieri_source(lam, n, d, dp) for lam in index}
+                tiles = [sc.pieri(mu, dp - d, 2 * n) for mu in sources]
+                tiled = sum(map(len, tiles)) == len(index) and set().union(*tiles) == index
+                if not (sources <= square and tiled):
+                    return "pieri-tiling", n, d, dp
     return None
 
 

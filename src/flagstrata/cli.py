@@ -19,7 +19,7 @@ from . import levi as lv
 from . import orbits as ob
 from . import schur as sc
 from . import strata as st
-from .checks import BOUND_CAPS, CHECKS, DEFAULT_BOUNDS
+from .checks import BOUND_CAPS, CHECKS, DEFAULT_BOUNDS, POSITIVE_BOUNDS
 
 
 class ConfigError(Exception):
@@ -38,8 +38,9 @@ def _parse_bounds(pairs) -> dict[str, int]:
             bounds[key] = int(value)
         except ValueError as exc:
             raise ConfigError(f"bound {key} needs an integer, got {value!r}") from exc
-        if bounds[key] < 0:
-            raise ConfigError(f"bound {key} must be >= 0, got {bounds[key]}")
+        floor = 1 if key in POSITIVE_BOUNDS else 0
+        if bounds[key] < floor:
+            raise ConfigError(f"bound {key} must be >= {floor}, got {bounds[key]}")
         if key in BOUND_CAPS and bounds[key] > BOUND_CAPS[key]:
             raise ConfigError(f"bound {key} capped at {BOUND_CAPS[key]}, got {bounds[key]}")
         if bounds[key] > DEFAULT_BOUNDS[key]:

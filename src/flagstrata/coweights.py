@@ -1,16 +1,7 @@
 """Integer coweight vectors, partitions, and the closed-form dimension formulas.
 
 A coweight is a plain tuple of integers.  A partition is a weakly decreasing
-tuple of nonnegative integers with trailing zeros trimmed.  The lattice
-classes tested by :func:`classify` are:
-
-    plus          weakly decreasing
-    minus         weakly increasing
-    nonneg        every entry >= 0
-    nonneg-plus   nonneg and plus
-    nonneg-minus  nonneg and minus
-    pos           total 0 and every prefix sum >= 0
-    nonneg-pos    every prefix sum >= 0 (sum of a nonneg and a pos vector)
+tuple of nonnegative integers with trailing zeros trimmed.
 """
 
 from __future__ import annotations
@@ -19,16 +10,6 @@ from fractions import Fraction
 from operator import ge, le, mul
 
 Vec = tuple[int, ...]
-
-LATTICE_CLASSES = (
-    "plus",
-    "minus",
-    "nonneg",
-    "nonneg-plus",
-    "nonneg-minus",
-    "pos",
-    "nonneg-pos",
-)
 
 
 def pairing(a: Vec, b: Vec) -> int:
@@ -44,34 +25,6 @@ def weakly_decreasing(v) -> bool:
 
 def weakly_increasing(v) -> bool:
     return all(map(le, v, v[1:]))
-
-
-def classify(lam: Vec, cls: str, deg: int | None = None) -> bool:
-    """Test membership of lam in one of the seven lattice classes.
-
-    When deg is given, additionally require sum(lam) == deg.
-    """
-    if cls not in LATTICE_CLASSES:
-        raise ValueError(f"unknown lattice class {cls!r}, expected one of {LATTICE_CLASSES}")
-    if deg is not None and sum(lam) != deg:
-        return False
-    nonneg = all(x >= 0 for x in lam)
-    if cls == "plus":
-        return weakly_decreasing(lam)
-    if cls == "minus":
-        return weakly_increasing(lam)
-    if cls == "nonneg":
-        return nonneg
-    if cls == "nonneg-plus":
-        return nonneg and weakly_decreasing(lam)
-    if cls == "nonneg-minus":
-        return nonneg and weakly_increasing(lam)
-    prefix_ok = all(sum(lam[: i + 1]) >= 0 for i in range(len(lam)))
-    if cls == "pos":
-        return sum(lam) == 0 and prefix_ok
-    # nonneg-pos: lam = a + b with a entrywise >= 0 and b in the pos class.
-    # Taking a = (0, ..., 0, sum(lam)) shows this is exactly "all prefix sums >= 0".
-    return prefix_ok
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +146,6 @@ def is_interleaved(mu, mup) -> bool:
 # dimension formulas
 
 
-def staircase_pairing(lam: Vec, n: int) -> int:
-    """<lam, (n-1, n-2, ..., 0)> for a length-n vector."""
-    if len(lam) != n:
-        raise ValueError(f"expected length {n}, got {len(lam)}")
-    return sum(x * (n - 1 - i) for i, x in enumerate(lam))
-
-
 def flag_bundle_dim(n: int, r: int, g: int) -> int:
     """n*r + (1-g) * sum_{i<n} i^2; for even n this agrees with the cubic closed form."""
     if n < 1:
@@ -220,20 +166,6 @@ def flag_bundle_dim_even(n: int, r: int, g: int) -> int | Fraction:
     if n % 2 != 0:
         raise ValueError("closed form requires even n")
     return _exact(3 * n * r + (1 - g) * (n - 1) * (n // 2) * (2 * n - 1), 3)
-
-
-def fibration_rank(n: int, d: int, dp: int, lam: Vec, g: int) -> int:
-    """Rank of the stratum fibration over its divisor base, as a polynomial in the data."""
-    if len(lam) != 2 * n:
-        raise ValueError(f"expected length {2 * n}, got {len(lam)}")
-    squares = sum(i * i for i in range(1, n))
-    return (
-        n * d
-        + (n - 1) * dp
-        - staircase_pairing(lam, 2 * n)
-        - n * (n - 1) * (g - 1)
-        - (4 * g - 4) * squares
-    )
 
 
 def _relative_dim(n: int, d: int, g: int) -> int | Fraction:
@@ -289,8 +221,3 @@ def flag_mass_margin(mu, mup) -> tuple[int, bool]:
     )
     return margin, margin == 0
 
-
-def flag_groupoid_dim(mu) -> int:
-    """Dimension of flags-mod-automorphisms for a single module: -sum mu_i * i."""
-    mu = as_partition(mu)
-    return -sum(x * (i + 1) for i, x in enumerate(mu))

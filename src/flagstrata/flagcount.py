@@ -313,11 +313,6 @@ def count_commutant_units_brute(mu, q: int) -> int:
 # groupoid masses
 
 
-def merge_type(mu, mup) -> tuple[int, ...]:
-    """Type of the direct sum: sorted concatenation of the parts."""
-    return _merge(as_partition(mu), as_partition(mup))
-
-
 def _merge(mu: tuple[int, ...], mup: tuple[int, ...]) -> tuple[int, ...]:
     # the sorted concatenation of two canonical partitions is canonical
     return tuple(sorted(mu + mup, reverse=True))
@@ -408,13 +403,6 @@ def collided_mass_top(d: int, dp: int) -> tuple[int, int | Fraction]:
             elif term.degree == degree:
                 leading += top
     return degree, leading.numerator if leading.denominator == 1 else leading
-
-
-def groupoid_dim_check(mu) -> bool:
-    """Flag-count degree minus Aut degree must equal -sum mu_i * i."""
-    mu = as_partition(mu)
-    lhs = 0 if not mu else count_flags_poly(mu).degree - aut_order_poly(mu).degree
-    return lhs == -sum(x * (i + 1) for i, x in enumerate(mu))
 
 
 def fiber_mass_table(dmax: int):

@@ -111,13 +111,6 @@ def dom_g(lam: Vec) -> Vec:
     return tuple(sorted(lam, reverse=True))
 
 
-def dom_m(lam: Vec, levi: BlockLevi) -> Vec:
-    """Levi-dominant representative: sort weakly decreasing inside each block."""
-    if len(lam) != levi.n:
-        raise ValueError(f"expected length {levi.n}")
-    return _place(levi, (sorted((lam[p - 1] for p in block), reverse=True) for block in levi.blocks))
-
-
 def _place(levi: BlockLevi, per_block) -> Vec:
     """The vector holding each block's values, in order, at that block's positions."""
     out = [0] * levi.n

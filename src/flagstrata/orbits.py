@@ -181,10 +181,6 @@ def orbit_decomposition(d: int, dp: int, q: int) -> list[list[tuple[int, ...]]]:
     return [[chains[i] for i in members] for members in uf.groups().values()]
 
 
-def k_orbits(d: int, dp: int, q: int) -> int:
-    return len(orbit_decomposition(d, dp, q))
-
-
 def verify_counts(d: int, dp: int, q: int) -> bool:
     """Orbit count must match both classifying-pair counts, and the orbits must hold all [n]_q! flags."""
     orbits = orbit_decomposition(d, dp, q)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import lru_cache
-from math import comb
 
 from .coweights import (
     as_partition,
@@ -180,18 +179,18 @@ def dominant_index(n: int, d: int, dp: int) -> set[Exponent]:
     """Dominant nonnegative lambda of length 2n with odd-position sum dp, even d."""
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
-    out = set()
-    for p in partitions(d + dp, max_parts=2 * n):
-        lam = pad(p, 2 * n)
-        odd, even = odd_even_split(lam)
-        if (
-            sum(odd) == dp
-            and sum(even) == d
-            and weakly_decreasing(odd)
-            and weakly_decreasing(even)
-        ):
-            out.add(as_partition(lam))
-    return out
+    return {p for p in partitions(d + dp, max_parts=2 * n) if _in_dominant_index(p, n, d, dp)}
+
+
+def _in_dominant_index(lam: Exponent, n: int, d: int, dp: int) -> bool:
+    # lam is a canonical partition with at most 2n parts
+    odd, even = odd_even_split(pad(lam, 2 * n))
+    return (
+        sum(odd) == dp
+        and sum(even) == d
+        and weakly_decreasing(odd)
+        and weakly_decreasing(even)
+    )
 
 
 def antidominant_index(n: int, d: int, dp: int) -> set[Exponent]:
@@ -274,7 +273,7 @@ def pieri_source(lam, n: int, d: int, dp: int) -> Exponent:
     (d, d) index set and lam/result is a horizontal strip of size d' - d.
     """
     lam = as_partition(lam)
-    if lam not in dominant_index(n, d, dp):
+    if not 0 <= d <= dp or len(lam) > 2 * n or not _in_dominant_index(lam, n, d, dp):
         raise ValueError(f"{lam} is not in the index set for n={n}, d={d}, d'={dp}")
     _, even = odd_even_split(pad(lam, 2 * n))
     out = []
@@ -282,7 +281,3 @@ def pieri_source(lam, n: int, d: int, dp: int) -> Exponent:
         out.extend((value, value))
     return as_partition(out)
 
-
-def index_dim_product(n: int, d: int, dp: int) -> int:
-    """Closed-form dimension of the product character at x = 1."""
-    return comb(comb(2 * n, 2) + d - 1, d) * comb(2 * n + dp - d - 1, dp - d)

@@ -343,10 +343,6 @@ def _induced_character_by_type(ctype: tuple[int, ...], d: int, dp: int) -> int |
     return _exact(_centralizer_order(ctype) * class_sum, stab_order)
 
 
-def induced_character(sigma: Perm, d: int, dp: int) -> int | Fraction:
-    return _induced_character_by_type(cycle_type(sigma), d, dp)
-
-
 def matches_induced(table: dict, d: int, dp: int) -> bool:
     """A character table by cycle type equals the induced character on every type."""
     return all(table.get(lam) == _induced_character_by_type(lam, d, dp) for lam in partitions(d + dp))

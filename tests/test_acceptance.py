@@ -41,3 +41,17 @@ def _acceptance_test(number, check):
 
 for _number, (_name, _check) in enumerate(zip(TEST_NAMES, checks.CHECKS, strict=True), 1):
     globals()[_name] = _acceptance_test(_number, _check)
+
+
+def test_degree_and_pieri_cells_catch_patched_formulas(monkeypatch):
+    # each closed form that a criterion replays must fail it when it is off by one
+    run = {check.name: check.run for check in checks.CHECKS}
+    real_flag, real_aut, real_pieri = checks.cw.complete_flag_dim, checks.cw.automorphism_dim, checks.sc.pieri
+    monkeypatch.setattr(checks.cw, "complete_flag_dim", lambda mu: real_flag(mu) + (mu == (2, 1)))
+    assert run["flag-count-recursion-vs-brute"](checks.DEFAULT_BOUNDS, 1) == ("flags-degree", (2, 1))
+    monkeypatch.setattr(checks.cw, "complete_flag_dim", real_flag)
+    monkeypatch.setattr(checks.cw, "automorphism_dim", lambda mu: real_aut(mu) + (mu == (1, 1)))
+    assert run["flag-count-recursion-vs-brute"](checks.DEFAULT_BOUNDS, 1) == ("units-degree", (1, 1))
+    # a strip allowed one row past the 2n variables
+    monkeypatch.setattr(checks.sc, "pieri", lambda lam, k, nvars: real_pieri(lam, k, nvars + 1))
+    assert run["dimension-identity-audits"](checks.DEFAULT_BOUNDS, 1) == ("pieri-tiling", 1, 1, 2)

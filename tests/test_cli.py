@@ -101,6 +101,10 @@ def test_invalid_config_exit_2(capsys):
     assert run(capsys, "levi", "4", "[[1,3],[2,4]", "1", "1")[0] == 2
     assert run(capsys, "--jobs", "0", "fibermass", "1", "1")[0] == 2
     assert run(capsys, "--bound", "brute_aut_size=-1", "selftest")[0] == 2
+    # a bound of 0 that would leave a criterion, or a family of its cells, with nothing to check
+    for key in ("schur_n", "invariants_r", "levi_rank", "identity_n"):
+        code, out, err = run(capsys, "--bound", f"{key}=0", "selftest")
+        assert code == 2 and out == "" and err == f"error: bound {key} must be >= 1, got 0\n"
     code, _, err = run(capsys, "levi", "2", "[1,2]", "1", "1")
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "levi", "0", "[]", "1", "1")
@@ -207,6 +211,7 @@ BAD_OPTION = hs.sampled_from([
     ("--bound", "bogus=1"), ("--bound", "schur_n"), ("--bound", "schur_n=x"), ("--bound", "mass_d=-1"),
     ("--bound", "orbit_total_q2=9"), ("--bound", "orbit_total_q3=5"),
     ("--bound", "brute_flag_size=6"), ("--bound", "brute_aut_size=5"),
+    ("--bound", "schur_n=0"), ("--bound", "invariants_r=0"), ("--bound", "levi_rank=0"), ("--bound", "identity_n=0"),
 ])
 
 
@@ -243,7 +248,7 @@ print(repr(st.invariants_dim(1, 1, 1)))
 print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1), 1))
 # a stabilizer class sum that makes the induced character 1/2 on the 4-cycles
 st._stabilizer_class_sums = lambda d, dp: {(4,): 1}
-print(repr(st.induced_character((2, 3, 4, 1), 2, 2)))
+print(repr(st._induced_character_by_type(st.cycle_type((2, 3, 4, 1)), 2, 2)))
 # an even-rank closed form one above the flag bundle dimension
 cw.flag_bundle_dim_even = lambda n, r, g: real_even(n, r, g) + 1
 print(run["dimension-identity-audits"](dict(checks.DEFAULT_BOUNDS, identity_n=1), 1))

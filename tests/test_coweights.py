@@ -1,4 +1,4 @@
-"""Lattice classes, interleavings and the closed-form dimension identities.
+"""Partitions, interleavings and the closed-form dimension identities.
 
 Oracles used here, independent of the implementation under test:
     - the swap-gap equals a direct inner product with the staircase vector
@@ -11,41 +11,6 @@ from itertools import product
 import pytest
 
 from flagstrata import coweights as cw
-
-
-# -- lattice classes ---------------------------------------------------------
-
-def test_classify_examples():
-    assert cw.classify((0, 0), "pos")
-    assert cw.classify((1, -1), "pos")
-    assert not cw.classify((-1, 1), "pos")
-
-
-def test_classify_unknown_class():
-    with pytest.raises(ValueError):
-        cw.classify((1,), "dominant")
-
-
-def test_classify_degree_constraint():
-    assert cw.classify((2, 1), "plus", deg=3)
-    assert not cw.classify((2, 1), "plus", deg=2)
-
-
-@pytest.mark.parametrize("vec", [
-    (0, 0, 0), (2, 1, 0), (1, -1, 0), (-2, 1, 1), (3, 1, 2), (0, -1, 1),
-    (1, 1, -2), (-1, 0, 1), (2, -1, -1), (5, -5, 0),
-])
-def test_classify_consistency(vec):
-    if cw.classify(vec, "nonneg-plus"):
-        assert cw.classify(vec, "nonneg") and cw.classify(vec, "plus")
-    if cw.classify(vec, "nonneg-minus"):
-        assert cw.classify(vec, "nonneg") and cw.classify(vec, "minus")
-    if cw.classify(vec, "pos"):
-        assert sum(vec) == 0
-    if cw.classify(vec, "nonneg"):
-        assert cw.classify(vec, "nonneg-pos")
-    if cw.classify(vec, "pos"):
-        assert cw.classify(vec, "nonneg-pos")
 
 
 def test_serialization_round_trip():
@@ -149,14 +114,6 @@ def test_swap_gap_matches_staircase_pairing():
 
 # -- dimension formulas --------------------------------------------------------
 
-def test_staircase_pairing():
-    assert cw.staircase_pairing((3, 5), 2) == 3
-    assert cw.staircase_pairing((0, 0, 0, 0), 4) == 0
-    assert cw.staircase_pairing((1, 1, 1), 3) == 3
-    with pytest.raises(ValueError):
-        cw.staircase_pairing((1, 2), 3)
-
-
 def test_flag_bundle_dim():
     assert cw.flag_bundle_dim(2, 1, 0) == 3
     assert cw.flag_bundle_dim(4, 3, 1) == 12
@@ -171,14 +128,6 @@ def test_flag_bundle_dim_even_closed_form():
                 assert type(even) is int and even == cw.flag_bundle_dim(n, r, g)
     with pytest.raises(ValueError):
         cw.flag_bundle_dim_even(3, 1, 0)
-
-
-def test_fibration_rank():
-    assert cw.fibration_rank(1, 0, 1, (0, 1), 0) == 0
-    assert cw.fibration_rank(1, 1, 1, (1, 1), 1) == 0
-    assert cw.fibration_rank(2, 0, 0, (0, 0, 0, 0), 1) == 0
-    with pytest.raises(ValueError):
-        cw.fibration_rank(2, 0, 0, (0, 0), 1)
 
 
 def test_fibration_dim_identity_examples():
@@ -248,13 +197,3 @@ def test_margin_exhaustive_small():
             assert equal == (gap == 0)
             assert margin == -gap
 
-
-def test_groupoid_dim():
-    assert cw.flag_groupoid_dim((1, 1)) == -3
-    assert cw.flag_groupoid_dim((7,)) == -7
-    assert cw.flag_groupoid_dim((2, 1)) == -4
-    for size in range(7):
-        for mu in cw.partitions(size):
-            assert cw.flag_groupoid_dim(mu) == (
-                cw.complete_flag_dim(mu) - cw.automorphism_dim(mu)
-            )

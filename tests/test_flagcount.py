@@ -399,12 +399,6 @@ def test_units_brute_without_numpy():
     assert done.stdout.split() == ["24261120"]
 
 
-def test_merge_type():
-    assert fc.merge_type((1, 1), (2,)) == (2, 1, 1)
-    assert fc.merge_type((2,), (2,)) == (2, 2)
-    assert fc.merge_type((1,), ()) == (1,)
-
-
 # -- masses ----------------------------------------------------------------------
 
 def test_fiber_mass_examples():
@@ -511,11 +505,6 @@ def test_negative_aut_exponent_raises_under_optimize():
     assert done.stdout.splitlines() == ["Aut order of type (1, 1) has negative q-exponent -3", "1"]
     # a formula fault inside a verification fails it (exit 1); it is not bad config
     assert done.stderr == "error: Aut order of type (1,) has negative q-exponent -1\n"
-
-
-def test_groupoid_dim_check():
-    for mu in [(1, 1), (4,), (2, 1), (3, 2, 1), ()]:
-        assert fc.groupoid_dim_check(mu)
 
 
 def test_fiber_mass_table_shape():

@@ -49,6 +49,13 @@ def decreasing_tuples(length, lo, hi):
             yield (first,) + rest
 
 
+def dom_m(lam, levi):
+    """Levi-dominant representative: sort weakly decreasing inside each block."""
+    if len(lam) != levi.n:
+        raise ValueError(f"expected length {levi.n}")
+    return lv._place(levi, (sorted((lam[p - 1] for p in block), reverse=True) for block in levi.blocks))
+
+
 def leq_m(lam, mu, levi):
     """Blockwise version of leq_g along each block's induced order."""
     if len(lam) != len(mu) or len(lam) != levi.n:
@@ -72,7 +79,7 @@ def oracle_j_set(lam, nu, levi):
     if sum(lam) != sum(nu):
         return []
     lo, hi = min(nu), max(nu)
-    lam_dom = lv.dom_m(lam, levi)
+    lam_dom = dom_m(lam, levi)
     per_block = []
     for block in levi.blocks:
         target = sum(lam[p - 1] for p in block)
@@ -210,14 +217,14 @@ def test_interleaved_levi_antistandard_up_to_rank_eight():
 
 def test_dominant_representatives():
     assert lv.dom_g((0, 1, -2)) == (1, 0, -2)
-    assert lv.dom_m((3, 0, 1, 2), INTER4) == (3, 2, 1, 0)
-    assert lv.dom_m((1, 2), TORUS2) == (1, 2)
+    assert dom_m((3, 0, 1, 2), INTER4) == (3, 2, 1, 0)
+    assert dom_m((1, 2), TORUS2) == (1, 2)
 
 
 def test_dom_m_is_orbit_maximum():
     for levi in (INTER4, STD4, lv.BlockLevi(4, [(1, 2, 4), (3,)])):
         for lam in product(range(-1, 2), repeat=4):
-            top = lv.dom_m(lam, levi)
+            top = dom_m(lam, levi)
             assert lv.is_dominant_m(top, levi)
             for w_lam in weyl_orbit_m(lam, levi):
                 assert leq_m(w_lam, top, levi)

@@ -146,7 +146,7 @@ def test_cached_closure_matches_per_call_oracle():
 
 def test_closure_follows_rebound_generators(monkeypatch):
     real = ob.block_group_generators
-    counts = {(d, n - d): ob.k_orbits(d, n - d, 3) for n in range(5) for d in range(n + 1)}
+    counts = {(d, n - d): len(ob.orbit_decomposition(d, n - d, 3)) for n in range(5) for d in range(n + 1)}
 
     def without_diagonals(d, dp, q):
         n = d + dp
@@ -241,9 +241,9 @@ def test_generators_generate_block_group():
 
 
 def test_k_orbit_examples():
-    assert ob.k_orbits(1, 1, 2) == 3
-    assert ob.k_orbits(1, 2, 2) == 6
-    assert ob.k_orbits(2, 2, 2) == len(ob.classifying_pairs(2, 2)) == 21
+    assert len(ob.orbit_decomposition(1, 1, 2)) == 3
+    assert len(ob.orbit_decomposition(1, 2, 2)) == 6
+    assert len(ob.orbit_decomposition(2, 2, 2)) == len(ob.classifying_pairs(2, 2)) == 21
 
 
 def test_orbits_partition_flag_set():
@@ -264,13 +264,13 @@ def test_verify_counts_all_feasible():
 def test_orbit_counts_are_q_independent():
     for total in range(5):
         for d in range(total + 1):
-            assert ob.k_orbits(d, total - d, 2) == ob.k_orbits(d, total - d, 3)
+            assert len(ob.orbit_decomposition(d, total - d, 2)) == len(ob.orbit_decomposition(d, total - d, 3))
 
 
 def test_size_caps():
     with pytest.raises(ValueError):
-        ob.k_orbits(3, 3, 2)
+        ob.orbit_decomposition(3, 3, 2)
     with pytest.raises(ValueError):
-        ob.k_orbits(2, 3, 3)
+        ob.orbit_decomposition(2, 3, 3)
     with pytest.raises(ValueError):
-        ob.k_orbits(1, 1, 5)
+        ob.orbit_decomposition(1, 1, 5)

@@ -10,7 +10,7 @@ product formula for dimensions.
 
 from collections import defaultdict
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -226,7 +226,7 @@ def test_index_dimension_identity():
         for d in range(3):
             for dp in range(d, 4):
                 p = sc.product_char(n, d, dp)
-                closed = sc.index_dim_product(n, d, dp)
+                closed = comb(comb(2 * n, 2) + d - 1, d) * comb(2 * n + dp - d - 1, dp - d)
                 assert _eval_ones(p) == closed
                 by_weyl = sum(_weyl_dim(lam, 2 * n) for lam in sc.dominant_index(n, d, dp))
                 assert by_weyl == closed

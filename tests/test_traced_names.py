@@ -1,4 +1,5 @@
-"""Every span the benchmark reads must exist in the package.
+"""Every span the benchmark reads must exist in the package, and every other
+public name of the package must be used by it.
 
 perfbench/layers.py names functions, methods and lru caches of flagstrata by
 ``module.name`` or ``module.Class.name``.  The tracer wraps only public names
@@ -6,8 +7,13 @@ defined in their own module, and a metric whose span is missing is reported
 absent, so a rename or removal in the package would silently drop a metric
 from every traced run.  These tests resolve each name the way the tracer
 would.  Both benchmark files are loaded by path and left unchanged.
+
+A public module-level name that no module of the package reads is code that
+only the tests run; it either becomes a cell of a checks.CHECKS sweep or
+leaves.  The spans the benchmark reads are exempt.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -69,3 +75,59 @@ def test_every_traced_name_exists_and_is_public():
 def test_every_traced_cache_has_cache_info():
     caches = [resolve(key) for key in layers.CACHES.values()]
     assert all(callable(getattr(fn, "cache_info", None)) for fn in caches), layers.CACHES
+
+
+def public_names(statement):
+    """The public names a module-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        names = [target.id for target in statement.targets if isinstance(target, ast.Name)]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = [statement.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def references(module, tree):
+    """The (module, name) pairs that a module's code reads.
+
+    A name read inside the statement that binds it, such as a recursive call,
+    does not count; nor does a docstring, which holds no name nodes.
+    """
+    aliases, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:  # from . import gf
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+    found = set()
+    for statement in tree.body:
+        own = {(module, name) for name in public_names(statement)}
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                ref = imported.get(node.id, (module, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                ref = (aliases[node.value.id], node.attr)
+            else:
+                continue
+            if ref not in own:
+                found.add(ref)
+    return found
+
+
+def test_every_public_name_is_read_by_the_package():
+    package = os.path.dirname(importlib.import_module(tracer.PACKAGE).__file__)
+    defined, read = set(), set()
+    for filename in sorted(os.listdir(package)):
+        if filename.endswith(".py"):
+            module = filename[:-3]
+            with open(os.path.join(package, filename)) as handle:
+                tree = ast.parse(handle.read(), filename)
+            defined |= {(module, name) for statement in tree.body for name in public_names(statement)}
+            read |= references(module, tree)
+    spans = {tuple(key.split(".")[:2]) for key in span_keys()}
+    assert sorted(defined - read - spans) == []
