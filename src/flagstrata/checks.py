@@ -4,6 +4,10 @@ Each entry holds a name, a runtime budget in seconds at DEFAULT_BOUNDS, and a
 sweep run(bounds, jobs).  A sweep returns None when every cell passes, else
 the loop values of the first failing cell.  `flagstrata selftest` and
 tests/test_acceptance.py both iterate CHECKS, so they run the same battery.
+
+A sweep whose cells a command also prints (schur, flagdim, fibermass, strata,
+orbits) calls that command's cell function and reads its ok, so each cell has
+one verdict; the sweep only loops and names the first failing cell.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ BOUND_CAPS = {
     "orbit_total_q3": ob.ORBIT_LIMIT[3],
     "brute_flag_size": fc.BRUTE_FLAG_LIMIT[2],
     "brute_aut_size": min(fc.BRUTE_FLAG_LIMIT.values()),
+    "induced_total": st.PERM_SWEEP_MAX_DEGREE,
 }
 
 # At 0 these bounds would leave their criterion, or a family of its cells,
@@ -59,26 +64,17 @@ def _schur_sweep(bounds, jobs):
     for n in range(1, bounds["schur_n"] + 1):
         for d in range(bounds["schur_d"] + 1):
             for dp in range(d, bounds["schur_d"] + 1):
-                if not sc.verify_multiplicity_free(n, d, dp):
+                if not sc.verify_multiplicity_free(n, d, dp)[-1]:
                     return n, d, dp
     return None
 
 
 def _margin_sweep(bounds, jobs):
-    """Margin = -(chain drop) <= 0, zero exactly when interleaved, three ways; degree = margin - |mu'|."""
-    top = bounds["margin_size"]
-    for dd in range(top + 1):
-        for pp in range(top + 1):
-            for mu in cw.partitions(dd):
-                for mup in cw.partitions(pp):
-                    margin, equal = cw.flag_mass_margin(mu, mup)
-                    _, _, gap = cw.special_transposition_chain(
-                        cw.interleave(mu, mup, max(len(mu), len(mup), 1))
-                    )
-                    if margin > 0 or equal != cw.is_interleaved(mu, mup) or equal != (gap == 0):
-                        return mu, mup
-                    if margin != -gap or fc.fiber_mass_degree(mu, mup) != margin - pp:
-                        return mu, mup
+    """Each flagdim row's verdict, and margin = -(drop of the special transposition chain)."""
+    for mu, mup, _, margin, _, ok in fc.fiber_mass_table(bounds["margin_size"]):
+        _, _, gap = cw.special_transposition_chain(cw.interleave(mu, mup, max(len(mu), len(mup), 1)))
+        if not ok or margin != -gap:
+            return mu, mup
     return None
 
 
@@ -106,11 +102,10 @@ def _mass_sweep(bounds, jobs):
     for d in range(bounds["mass_d"] + 1):
         for dp in range(d, bounds["mass_d"] + 1):
             try:
-                deg, lead = fc.collided_mass_top(d, dp)
+                if not fc.verify_collided_mass(d, dp)[-1]:
+                    return d, dp
             except fc.MassPremiseError as exc:
                 return d, dp, exc.mu, exc.mup
-            if deg != -dp or lead != st.pairing_count(d, dp):
-                return d, dp
     return None
 
 
@@ -126,11 +121,12 @@ def _induced_sweep(bounds, jobs):
     for total in range(bounds["induced_total"] + 1):
         for d in range(total // 2 + 1):
             dp = total - d
-            if len(st.enumerate_pairings(d, dp)) != st.pairing_count(d, dp):
-                return "pairing-count", d, dp
-            if not st.stratify(d, dp)[1]:
-                return "strata-cover", d, dp
-            if not st.verify_induced_realization(d, dp):
+            pairings, _, covers, _, induced, expected, ok = st.verify_strata(d, dp)
+            if not ok or induced is None:  # a skipped induced match does not pass
+                if len(pairings) != expected:
+                    return "pairing-count", d, dp
+                if not covers:
+                    return "strata-cover", d, dp
                 return d, dp
             for r in range(1, bounds["invariants_r"] + 1):
                 want = (comb(comb(r, 2) + d - 1, d) if d else 1) * (
@@ -145,7 +141,7 @@ def _orbit_sweep(bounds, jobs):
     for q, cap_key in ((2, "orbit_total_q2"), (3, "orbit_total_q3")):
         for total in range(bounds[cap_key] + 1):
             for d in range(total // 2 + 1):
-                if not ob.verify_counts(d, total - d, q):
+                if not ob.verify_counts(d, total - d, q)[-1]:
                     return d, total - d, q
     return None
 

@@ -54,15 +54,13 @@ def _parse_bounds(pairs) -> dict[str, int]:
 
 def _emit(header, rows, fmt, payload):
     if fmt == "json":
+        if payload is None:  # built only here, so a TSV call never builds it
+            payload = [dict(zip(header, row)) for row in rows]
         print(json.dumps(payload, default=str))
     else:
         print("\t".join(header))
         for row in rows:
             print("\t".join(str(x) for x in row))
-
-
-def _records(header, rows) -> list[dict]:
-    return [dict(zip(header, row)) for row in rows]
 
 
 def _fmt_vec(v) -> str:
@@ -71,17 +69,16 @@ def _fmt_vec(v) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands: each builds its values once, and both the TSV rows and the
-# JSON payload are read from them
+# JSON payload are read from them.  Each verdict is read from the cell
+# function its checks.CHECKS sweep calls; no payload means a record per row.
 
 
 def cmd_schur(args, bounds):
     n, d, dp = args.n, args.d, args.dp
     if n < 1 or not 0 <= d <= dp:
         raise ConfigError("need n >= 1 and 0 <= d <= dp")
-    dec = sc.decompose_schur(sc.product_char(n, d, dp))
-    index = sc.dominant_index(n, d, dp)
+    dec, index, ok = sc.verify_multiplicity_free(n, d, dp)
     terms = sorted(dec.items(), reverse=True)
-    ok = dec == {lam: 1 for lam in index}
     rows = [(_fmt_vec(lam), mult, lam in index) for lam, mult in terms]
     rows.append(("all-multiplicity-one-and-index-exact", len(index), ok))
     payload = {
@@ -98,8 +95,7 @@ def cmd_strata(args, bounds):
     d, dp = args.d, args.dp
     if not 0 <= d <= dp:
         raise ConfigError("need 0 <= d <= dp")
-    pairings = st.enumerate_pairings(d, dp)
-    strata, covers = st.stratify(d, dp)
+    pairings, strata, covers, characters, induced, expected, ok = st.verify_strata(d, dp)
     c_pairs = [(j, jp, disjoint, [w.cycle_notation() for w in ws]) for j, jp, disjoint, ws in strata]
     rows = [
         ("c-pair", _fmt_vec(j), _fmt_vec(jp), disjoint, ";".join(names) or "-")
@@ -107,15 +103,12 @@ def cmd_strata(args, bounds):
     ]
     rows.append(("pairings", len(pairings), "strata-cover", covers, "-"))
     failures = {}  # the witness of each failure that no other field shows
-    expected = st.pairing_count(d, dp)
     if len(pairings) != expected:
         print(f"pairings: enumerated {len(pairings)}, pairing_count {expected}", file=sys.stderr)
         failures["pairing_count_mismatch"] = {"enumerated": len(pairings), "pairing_count": expected}
         rows.append(("pairing-count-mismatch", len(pairings), expected, "-", "-"))
-    try:
-        characters = st.character_table(d, dp)
-    except st.ClassFunctionError as exc:
-        characters = {}  # an empty table matches no induced character
+    if isinstance(characters, st.ClassFunctionError):
+        exc, characters = characters, {}  # the failed table lists no character
         traces = (exc.first, exc.second)
         failures["character_not_class_function"] = {
             "ctype": list(exc.ctype),
@@ -125,9 +118,8 @@ def cmd_strata(args, bounds):
         rows.append(("character-not-class-function", _fmt_vec(exc.ctype), *witness, "-"))
     table = sorted(characters.items(), reverse=True)
     rows += [("character", _fmt_vec(ctype), value, "-", "-") for ctype, value in table]
-    induced_ok = st.matches_induced(characters, d, dp) if d + dp <= st.PERM_SWEEP_MAX_DEGREE else "skipped"
+    induced_ok = "skipped" if induced is None else induced
     rows.append(("induced-model-match", induced_ok, "-", "-", "-"))
-    ok = not failures and covers and induced_ok is not False
     payload = {
         "d": d,
         "dp": dp,
@@ -149,11 +141,8 @@ def cmd_flagdim(args, bounds):
     if dmax < 0:
         raise ConfigError("need dmax >= 0")
     header = ("mu", "mup", "degree", "margin", "interleaved", "ok")
-    rows = []
-    for mu, mup, deg, margin, inter in fc.fiber_mass_table(dmax):
-        good = margin <= 0 and (margin == 0) == inter and deg == margin - sum(mup)
-        rows.append((_fmt_vec(mu), _fmt_vec(mup), deg, margin, inter, good))
-    return header, rows, all(row[-1] for row in rows), _records(header, rows)
+    rows = [(_fmt_vec(mu), _fmt_vec(mup), *rest) for mu, mup, *rest in fc.fiber_mass_table(dmax)]
+    return header, rows, all(row[-1] for row in rows), None
 
 
 def cmd_fibermass(args, bounds):
@@ -161,18 +150,16 @@ def cmd_fibermass(args, bounds):
     if not 0 <= d <= dp:
         raise ConfigError("need 0 <= d <= dp")
     header = ("d", "dp", "degree", "leading", "pairings", "match")
-    expected = st.pairing_count(d, dp)
     try:
-        deg, lead = fc.collided_mass_top(d, dp)
+        deg, lead, expected, ok = fc.verify_collided_mass(d, dp)
     except fc.MassPremiseError as exc:
-        rows = [(d, dp, "-", "-", expected, False)]
+        rows = [(d, dp, "-", "-", st.pairing_count(d, dp), False)]
         witness = {"mu": list(exc.mu), "mup": list(exc.mup), "leading": str(exc.leading)}
         payload = [dict(zip(header, rows[0]), premise_failure=witness)]
         rows.append(("mass-premise-failed", exc.mu, exc.mup, exc.leading, "-", "-"))
         return header, rows, False, payload
-    ok = deg == -dp and lead == expected
     rows = [(d, dp, deg, lead, expected, ok)]
-    return header, rows, ok, _records(header, rows)
+    return header, rows, ok, None
 
 
 def cmd_orbits(args, bounds):
@@ -183,11 +170,7 @@ def cmd_orbits(args, bounds):
         raise ConfigError(f"q must be one of {', '.join(map(str, ob.ORBIT_LIMIT))}")
     if d + dp > ob.ORBIT_LIMIT[q]:
         raise ConfigError(f"d + dp capped at {ob.ORBIT_LIMIT[q]} for q={q}")
-    orbits = ob.orbit_decomposition(d, dp, q)
-    pairs = ob.classifying_pairs(d, dp)
-    dual = len(ob.dual_classifying_pairs(d, dp))
-    # the conditions of ob.verify_counts, on this one decomposition
-    ok = len(orbits) == len(pairs) == dual and sum(map(len, orbits)) == ob.flag_total(d + dp, q)
+    orbits, pairs, dual, ok = ob.verify_counts(d, dp, q)
     rows = [(d, dp, q, len(orbits), len(pairs), dual, ok)]
     payload = {
         "d": d,
@@ -258,7 +241,7 @@ def cmd_selftest(args, bounds):
             ok = False
             print(f"{check.name}: first failing cell {witness}", file=sys.stderr)
         rows.append((check.name, "PASS" if witness is None else "FAIL"))
-    return header, rows, ok, _records(header, rows)
+    return header, rows, ok, None
 
 
 # ---------------------------------------------------------------------------

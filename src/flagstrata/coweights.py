@@ -203,7 +203,7 @@ def _automorphism_dim(mu: Vec) -> int:
     return sum(x * (2 * i + 1) for i, x in enumerate(mu))
 
 
-def flag_mass_margin(mu, mup) -> tuple[int, bool]:
+def flag_mass_margin(mu, mup) -> int:
     """Dimension margin of the flag groupoid bound for the pair (mu, mup).
 
     margin = complete_flag_dim(sorted merge) - aut dims + |mup|; it is <= 0,
@@ -213,11 +213,10 @@ def flag_mass_margin(mu, mup) -> tuple[int, bool]:
     mup = as_partition(mup)
     m = max(len(mu), len(mup), 1)
     eta = sorted(_interleave(mu, mup, m), reverse=True)
-    margin = (
+    return (
         _complete_flag_dim(eta)
         - _automorphism_dim(mu)
         - _automorphism_dim(mup)
         + sum(mup)
     )
-    return margin, margin == 0
 

@@ -17,6 +17,7 @@ from math import gcd
 
 from . import gf
 from .coweights import as_partition, conjugate, partitions
+from .strata import pairing_count
 
 
 class QPoly:
@@ -405,8 +406,18 @@ def collided_mass_top(d: int, dp: int) -> tuple[int, int | Fraction]:
     return degree, leading.numerator if leading.denominator == 1 else leading
 
 
+def verify_collided_mass(d: int, dp: int) -> tuple[int, int | Fraction, int, bool]:
+    """collided_mass_top's (degree, leading), the pairing count, and ok: -d' and that count."""
+    degree, leading = collided_mass_top(d, dp)
+    pairings = pairing_count(d, dp)
+    return degree, leading, pairings, degree == -dp and leading == pairings
+
+
 def fiber_mass_table(dmax: int):
-    """Rows (mu, mup, degree, margin, interleaved) for all |mu|, |mup| <= dmax."""
+    """Rows (mu, mup, degree, margin, interleaved, ok) for all |mu|, |mup| <= dmax.
+
+    ok: margin <= 0, zero exactly when interleaved, and degree = margin - |mup|.
+    """
     from .coweights import flag_mass_margin, is_interleaved
 
     by_size = [list(partitions(d)) for d in range(dmax + 1)]
@@ -415,8 +426,9 @@ def fiber_mass_table(dmax: int):
         for mups in by_size:
             for mu in mus:
                 for mup in mups:
-                    margin, _ = flag_mass_margin(mu, mup)
-                    rows.append(
-                        (mu, mup, fiber_mass_degree(mu, mup), margin, is_interleaved(mu, mup))
-                    )
+                    margin = flag_mass_margin(mu, mup)
+                    deg = fiber_mass_degree(mu, mup)
+                    inter = is_interleaved(mu, mup)
+                    good = margin <= 0 and (margin == 0) == inter and deg == margin - sum(mup)
+                    rows.append((mu, mup, deg, margin, inter, good))
     return rows

@@ -181,11 +181,10 @@ def orbit_decomposition(d: int, dp: int, q: int) -> list[list[tuple[int, ...]]]:
     return [[chains[i] for i in members] for members in uf.groups().values()]
 
 
-def verify_counts(d: int, dp: int, q: int) -> bool:
-    """Orbit count must match both classifying-pair counts, and the orbits must hold all [n]_q! flags."""
+def verify_counts(d: int, dp: int, q: int) -> tuple[list, list, int, bool]:
+    """(orbits, pairs, dual pair count, ok): the counts agree and the orbits hold all [n]_q! flags."""
     orbits = orbit_decomposition(d, dp, q)
-    expected = len(classifying_pairs(d, dp))
-    return (
-        len(orbits) == expected == len(dual_classifying_pairs(d, dp))
-        and sum(map(len, orbits)) == flag_total(d + dp, q)
-    )
+    pairs = classifying_pairs(d, dp)
+    dual = len(dual_classifying_pairs(d, dp))
+    ok = len(orbits) == len(pairs) == dual and sum(map(len, orbits)) == flag_total(d + dp, q)
+    return orbits, pairs, dual, ok

@@ -260,10 +260,11 @@ def product_char(n: int, d: int, dp: int) -> SymPoly:
     )
 
 
-def verify_multiplicity_free(n: int, d: int, dp: int) -> bool:
-    """The product character must decompose as exactly the dominant index, all mult 1."""
+def verify_multiplicity_free(n: int, d: int, dp: int) -> tuple[dict[Exponent, int], set[Exponent], bool]:
+    """(decomposition, dominant index, ok): ok when the product character is the index, all mult 1."""
     dec = decompose_schur(product_char(n, d, dp))
-    return dec == {lam: 1 for lam in dominant_index(n, d, dp)}
+    index = dominant_index(n, d, dp)
+    return dec, index, dec == {lam: 1 for lam in index}
 
 
 def pieri_source(lam, n: int, d: int, dp: int) -> Exponent:

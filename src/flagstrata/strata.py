@@ -348,19 +348,24 @@ def matches_induced(table: dict, d: int, dp: int) -> bool:
     return all(table.get(lam) == _induced_character_by_type(lam, d, dp) for lam in partitions(d + dp))
 
 
-def verify_induced_realization(d: int, dp: int) -> bool:
-    """Signed pairing character equals the induced character at every permutation.
+def verify_strata(d: int, dp: int) -> tuple:
+    """(pairings, C-pairs, cover, characters, induced match, pairing count, ok) for (d, d').
 
-    The per-permutation oracle: character_table sweeps the trace apart from the
-    class sums, and a class function matches at every permutation exactly
-    when it does on every cycle type.  A trace that is not one fails.
+    characters is the character_table or the ClassFunctionError it raised.
+    The induced match is None above PERM_SWEEP_MAX_DEGREE, where no
+    per-permutation sweep checks the table, and then does not fail ok.
     """
-    if d + dp > PERM_SWEEP_MAX_DEGREE:
-        raise ValueError(f"full symmetric group sweep capped at degree {PERM_SWEEP_MAX_DEGREE}")
+    pairings = enumerate_pairings(d, dp)
+    c_pairs, covers = stratify(d, dp)
+    expected = pairing_count(d, dp)
     try:
-        return matches_induced(character_table(d, dp), d, dp)
-    except ClassFunctionError:
-        return False
+        characters = character_table(d, dp)
+    except ClassFunctionError as exc:
+        characters, induced = exc, False
+    else:
+        induced = matches_induced(characters, d, dp) if d + dp <= PERM_SWEEP_MAX_DEGREE else None
+    ok = len(pairings) == expected and covers and induced is not False
+    return pairings, c_pairs, covers, characters, induced, expected, ok
 
 
 @lru_cache(maxsize=None)

@@ -110,7 +110,7 @@ def test_invalid_config_exit_2(capsys):
     code, _, err = run(capsys, "levi", "0", "[]", "1", "1")
     assert code == 2 and err.startswith("error: n must be >= 1")
     # a bound past an oracle's cap is refused before any sweep runs
-    for bound in ("orbit_total_q2=6", "orbit_total_q3=5", "brute_flag_size=6", "brute_aut_size=5"):
+    for bound in ("orbit_total_q2=6", "orbit_total_q3=5", "brute_flag_size=6", "brute_aut_size=5", "induced_total=8"):
         code, out, err = run(capsys, "--bound", bound, "selftest")
         assert code == 2 and out == "" and err.startswith(f"error: bound {bound.split('=')[0]} capped")
 
@@ -122,7 +122,8 @@ def test_bound_override_warns(capsys):
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli.sc, "verify_multiplicity_free", lambda *a: False)
+    real_free = cli.sc.verify_multiplicity_free
+    monkeypatch.setattr(cli.sc, "verify_multiplicity_free", lambda *a: (*real_free(*a)[:-1], False))
     code, out, err = run(capsys, *FAST_BOUNDS, "selftest")
     assert code == 1
     assert "schur-multiplicity-free\tFAIL" in out
@@ -151,6 +152,30 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     assert data["pairing_count_mismatch"] == {"enumerated": 3, "pairing_count": 4}
 
 
+def test_command_and_criterion_share_one_verdict(capsys, monkeypatch):
+    # a cell's real values with its verdict turned False must fail the command, in
+    # both formats, and name that cell as the witness of the criterion that sweeps it
+    criteria = {check.name: check.run for check in cli.CHECKS}
+    cells = [
+        (cli.sc, "verify_multiplicity_free", ("schur", "1", "0", "0"), "schur-multiplicity-free", (1, 0, 0)),
+        (cli.fc, "fiber_mass_table", ("flagdim", "0"), "flag-mass-margins", ((), ())),
+        (cli.fc, "verify_collided_mass", ("fibermass", "0", "0"), "collided-mass-degree-and-leading", (0, 0)),
+        (cli.st, "verify_strata", ("strata", "0", "0"), "induced-character-and-invariants", (0, 0)),
+        (cli.ob, "verify_counts", ("orbits", "0", "0", "2"), "orbit-counts-vs-classifying-pairs", (0, 0, 2)),
+    ]
+    for module, name, argv, check, witness in cells:
+        real = getattr(module, name)
+        if name == "fiber_mass_table":  # the verdict ends each row
+            fake = lambda *a, real=real: [(*row[:-1], False) for row in real(*a)]
+        else:
+            fake = lambda *a, real=real: (*real(*a)[:-1], False)
+        monkeypatch.setattr(module, name, fake)
+        for fmt in ("tsv", "json"):
+            assert run(capsys, "--format", fmt, *argv)[0] == 1, (argv, fmt)
+        assert criteria[check](cli.DEFAULT_BOUNDS, 1) == witness
+        monkeypatch.undo()
+
+
 def test_orbits_missing_flag_exits_1(capsys, monkeypatch):
     # the orbits drop one flag but keep their count: the [n]_q! total must catch it
     real = cli.ob.orbit_decomposition
@@ -160,7 +185,7 @@ def test_orbits_missing_flag_exits_1(capsys, monkeypatch):
         return orbits[:-1] + [orbits[-1][1:]]
 
     monkeypatch.setattr(cli.ob, "orbit_decomposition", missing_one)
-    assert not cli.ob.verify_counts(1, 2, 2)
+    assert not cli.ob.verify_counts(1, 2, 2)[-1]
     code, out, _ = run(capsys, "orbits", "1", "2", "2")
     assert code == 1
     assert out.splitlines()[1:] == ["1\t2\t2\t6\t6\t6\tFalse"]
@@ -210,7 +235,7 @@ BAD_OPTION = hs.sampled_from([
     ("--format", "xml"), ("--format",), ("--jobs", "0"), ("--jobs", "-1"), ("--jobs", "x"),
     ("--bound", "bogus=1"), ("--bound", "schur_n"), ("--bound", "schur_n=x"), ("--bound", "mass_d=-1"),
     ("--bound", "orbit_total_q2=9"), ("--bound", "orbit_total_q3=5"),
-    ("--bound", "brute_flag_size=6"), ("--bound", "brute_aut_size=5"),
+    ("--bound", "brute_flag_size=6"), ("--bound", "brute_aut_size=5"), ("--bound", "induced_total=8"),
     ("--bound", "schur_n=0"), ("--bound", "invariants_r=0"), ("--bound", "levi_rank=0"), ("--bound", "identity_n=0"),
 ])
 
@@ -239,11 +264,13 @@ real_character, real_pairing, real_f = st.ind_character, lv.pairing, lv.f_val
 real_even = cw.flag_bundle_dim_even
 # a trace that differs inside one cycle type
 st.ind_character = lambda sigma, d, dp: sigma[0]
-st.verify_induced_realization = lambda d, dp: True
 print(cli.main(["--format", "json", "strata", "1", "2"]))
 print(cli.main(["strata", "1", "2"]))
-# one more at the identity: the invariant dimension of (1, 1) at r = 1 becomes 1/2
-st.ind_character = lambda sigma, d, dp: real_character(sigma, d, dp) + (sigma == tuple(sorted(sigma)))
+st.ind_character = real_character
+# one more at the identity, in the per-type table that only the invariants cell reads:
+# the invariant dimension of (1, 1) at r = 1 becomes 1/2
+real_by_type = st._character_by_type
+st._character_by_type = lambda d, dp: {lam: v + (lam == (1,) * (d + dp)) for lam, v in real_by_type(d, dp).items()}
 print(repr(st.invariants_dim(1, 1, 1)))
 print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1), 1))
 # a stabilizer class sum that makes the induced character 1/2 on the 4-cycles

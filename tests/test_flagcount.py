@@ -509,8 +509,8 @@ def test_negative_aut_exponent_raises_under_optimize():
 
 def test_fiber_mass_table_shape():
     rows = fc.fiber_mass_table(2)
-    assert ((1,), (2,), -2, 0, True) in rows
-    assert ((1, 1), (2,), -3, -1, False) in rows
+    assert ((1,), (2,), -2, 0, True, True) in rows
+    assert ((1, 1), (2,), -3, -1, False, True) in rows
 
 
 def test_fiber_mass_degree_matches_qrat_degree():
@@ -524,10 +524,11 @@ def test_fiber_mass_degree_matches_qrat_degree():
 def test_fiber_mass_table_matches_per_pair_rebuild():
     # the table in row order, rebuilt with the QRat degree of each pair
     rebuilt = [
-        (mu, mup, fc.fiber_mass(mu, mup).degree, flag_mass_margin(mu, mup)[0], is_interleaved(mu, mup))
+        (mu, mup, fc.fiber_mass(mu, mup).degree, flag_mass_margin(mu, mup), is_interleaved(mu, mup))
         for d in range(5)
         for dp in range(5)
         for mu in partitions(d)
         for mup in partitions(dp)
     ]
-    assert fc.fiber_mass_table(4) == rebuilt
+    table = fc.fiber_mass_table(4)
+    assert [row[:5] for row in table] == rebuilt and all(row[5] for row in table)

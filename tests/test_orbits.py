@@ -258,7 +258,7 @@ def test_verify_counts_all_feasible():
     for q, cap in ((2, 5), (3, 4)):
         for total in range(cap + 1):
             for d in range(total + 1):
-                assert ob.verify_counts(d, total - d, q), (d, total - d, q)
+                assert ob.verify_counts(d, total - d, q)[-1], (d, total - d, q)
 
 
 def test_orbit_counts_are_q_independent():

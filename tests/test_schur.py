@@ -203,9 +203,10 @@ def test_dominant_index_examples():
 
 
 def test_verify_multiplicity_free_examples():
-    assert sc.verify_multiplicity_free(1, 1, 1)
-    assert sc.verify_multiplicity_free(2, 2, 2)
-    assert sc.verify_multiplicity_free(2, 1, 3)
+    assert sc.verify_multiplicity_free(1, 1, 1)[-1]
+    assert sc.verify_multiplicity_free(2, 2, 2)[-1]
+    dec, index, ok = sc.verify_multiplicity_free(2, 1, 3)
+    assert ok and dec == sc.decompose_schur(sc.product_char(2, 1, 3)) and index == sc.dominant_index(2, 1, 3)
 
 
 def test_product_char_matches_direct_expansion():

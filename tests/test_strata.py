@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from flagstrata import checks
 from flagstrata import strata as st
 from flagstrata.coweights import partitions
 
@@ -203,7 +204,17 @@ def test_character_table_above_sweep_cap(monkeypatch):
 def test_induced_realization():
     for total in range(st.PERM_SWEEP_MAX_DEGREE + 1):
         for d in range(total // 2 + 1):
-            assert st.verify_induced_realization(d, total - d)
+            *_, induced, _, ok = st.verify_strata(d, total - d)
+            assert induced is True and ok
+
+
+def test_skipped_induced_match_fails_the_criterion(monkeypatch):
+    # above the per-permutation cap the command passes a skipped match, the criterion does not
+    monkeypatch.setattr(st, "PERM_SWEEP_MAX_DEGREE", 1)
+    assert st.verify_strata(0, 2)[4:] == (None, 1, True)
+    run = {check.name: check.run for check in checks.CHECKS}
+    bounds = dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1)
+    assert run["induced-character-and-invariants"](bounds, 1) == (0, 2)
 
 
 def test_induced_realization_rejects_wrong_traces(monkeypatch):
@@ -214,12 +225,13 @@ def test_induced_realization_rejects_wrong_traces(monkeypatch):
     )
     assert st.character_table(1, 2) == {(1, 1, 1): 3, (2, 1): 0, (3,): 0}
     assert not st.matches_induced(st.character_table(1, 2), 1, 2)
-    assert not st.verify_induced_realization(1, 2)
+    assert st.verify_strata(1, 2)[4:] == (False, 3, False)
     # a trace that is not a class function
     monkeypatch.setattr(st, "ind_character", lambda sigma, d, dp: sigma[0])
     with pytest.raises(st.ClassFunctionError):
         st.character_table(1, 2)
-    assert not st.verify_induced_realization(1, 2)
+    _, _, _, characters, induced, _, ok = st.verify_strata(1, 2)
+    assert isinstance(characters, st.ClassFunctionError) and induced is False and not ok
     # a table missing a cycle type matches nothing
     assert not st.matches_induced({}, 0, 0)
 
