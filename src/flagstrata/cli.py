@@ -141,7 +141,8 @@ def cmd_flagdim(args, bounds):
     if dmax < 0:
         raise ConfigError("need dmax >= 0")
     header = ("mu", "mup", "degree", "margin", "interleaved", "ok")
-    rows = [(_fmt_vec(mu), _fmt_vec(mup), *rest) for mu, mup, *rest in fc.fiber_mass_table(dmax)]
+    names = {mu: _fmt_vec(mu) for size in range(dmax + 1) for mu in cw.partitions(size)}
+    rows = [(names[mu], names[mup], *rest) for mu, mup, *rest in fc.fiber_mass_table(dmax)]
     return header, rows, all(row[-1] for row in rows), None
 
 

@@ -135,13 +135,6 @@ def special_transposition_chain(theta: Vec) -> tuple[Vec, list[tuple[int, int]],
     return eta, steps, gap
 
 
-def is_interleaved(mu, mup) -> bool:
-    """True iff mup_1 >= mu_1 >= mup_2 >= mu_2 >= ... after common padding."""
-    mu = as_partition(mu)
-    mup = as_partition(mup)
-    return weakly_decreasing(_interleave(mu, mup, max(len(mu), len(mup), 1)))
-
-
 # ---------------------------------------------------------------------------
 # dimension formulas
 
@@ -201,22 +194,3 @@ def automorphism_dim(mu) -> int:
 
 def _automorphism_dim(mu: Vec) -> int:
     return sum(x * (2 * i + 1) for i, x in enumerate(mu))
-
-
-def flag_mass_margin(mu, mup) -> int:
-    """Dimension margin of the flag groupoid bound for the pair (mu, mup).
-
-    margin = complete_flag_dim(sorted merge) - aut dims + |mup|; it is <= 0,
-    with equality exactly on interleaved pairs.
-    """
-    mu = as_partition(mu)
-    mup = as_partition(mup)
-    m = max(len(mu), len(mup), 1)
-    eta = sorted(_interleave(mu, mup, m), reverse=True)
-    return (
-        _complete_flag_dim(eta)
-        - _automorphism_dim(mu)
-        - _automorphism_dim(mup)
-        + sum(mup)
-    )
-

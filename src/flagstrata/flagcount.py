@@ -16,7 +16,15 @@ from itertools import groupby
 from math import gcd
 
 from . import gf
-from .coweights import as_partition, conjugate, partitions
+from .coweights import (
+    _automorphism_dim,
+    _complete_flag_dim,
+    _interleave,
+    as_partition,
+    conjugate,
+    partitions,
+    weakly_decreasing,
+)
 from .strata import pairing_count
 
 
@@ -196,28 +204,26 @@ def count_flags_poly(mu) -> QPoly:
 
     Recursion over removable corners: peeling the last box of the r-th value
     group contributes q^(m_1+...+m_{r-1}) * (1 + q + ... + q^{m_r - 1}) times
-    the count of the peeled type.  Validated against count_flags_brute.
+    the count of the peeled type.  Each shifted copy of the peeled type's
+    coefficients is added into one list, sized from the peeled types' lengths
+    alone.  Validated against count_flags_brute.
     """
     mu = as_partition(mu)
     if not mu:
         return ONE
-    total = QPoly()
-    for (value, mult), weight in zip(_value_groups(mu), corner_weights(mu)):
-        peeled = list(mu)
-        peeled[peeled.index(value) + mult - 1] -= 1
-        child = as_partition(sorted(peeled, reverse=True))
-        total = total + weight * count_flags_poly(child)
-    return total
-
-
-def corner_weights(mu) -> list[QPoly]:
-    """The per-corner counting polynomials; they sum to geometric(#parts)."""
-    out = []
-    prefix = 0
-    for _, mult in _value_groups(as_partition(mu)):
-        out.append(QPoly.q_power(prefix) * QPoly.geometric(mult))
-        prefix += mult
-    return out
+    terms = []  # (q-shift, run multiplicity, coefficients of the peeled type)
+    end = 0
+    for value, mult in _value_groups(mu):
+        end += mult
+        # lowering the run's last part keeps the tuple a canonical partition
+        child = mu[:end - 1] + (value - 1,) + mu[end:] if value > 1 else mu[:end - 1]
+        terms.append((end - mult, mult, count_flags_poly(child).coeffs))
+    out = [0] * max(shift + mult - 1 + len(cs) for shift, mult, cs in terms)
+    for shift, mult, cs in terms:
+        for start in range(shift, shift + mult):
+            for k, c in enumerate(cs, start):
+                out[k] += c
+    return QPoly(out)
 
 
 def _value_groups(mu) -> list[tuple[int, int]]:
@@ -329,21 +335,6 @@ def fiber_mass(mu, mup) -> QRat:
     )
 
 
-def fiber_mass_degree(mu, mup) -> int:
-    """fiber_mass(mu, mup).degree, read from the three polynomials without a QRat.
-
-    Dividing by the integer content keeps both degrees, and integer polynomial
-    degrees add under products.
-    """
-    mu = as_partition(mu)
-    mup = as_partition(mup)
-    return (
-        count_flags_poly(_merge(mu, mup)).degree
-        - aut_order_poly(mu).degree
-        - aut_order_poly(mup).degree
-    )
-
-
 class MassPremiseError(Exception):
     """A fiber mass term is zero or has a non-positive leading coefficient.
 
@@ -392,16 +383,20 @@ def collided_mass_top(d: int, dp: int) -> tuple[int, int | Fraction]:
     """
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
+    # a term's degree and Laurent top read from its three polynomials: QRat's
+    # content reduction and sign flip scale numerator and denominator alike
     degree, leading = None, Fraction(0)
     for mu in partitions(d):
+        aut = aut_order_poly(mu)
         for mup in partitions(dp):
-            term = fiber_mass(mu, mup)
-            top = Fraction(0) if term.is_zero() else term.leading
+            flags, autp = count_flags_poly(_merge(mu, mup)), aut_order_poly(mup)
+            top = Fraction(0) if flags.is_zero() else Fraction(flags.leading, aut.leading * autp.leading)
             if top <= 0:
                 raise MassPremiseError(mu, mup, top)
-            if degree is None or term.degree > degree:
-                degree, leading = term.degree, top
-            elif term.degree == degree:
+            term_degree = flags.degree - aut.degree - autp.degree
+            if degree is None or term_degree > degree:
+                degree, leading = term_degree, top
+            elif term_degree == degree:
                 leading += top
     return degree, leading.numerator if leading.denominator == 1 else leading
 
@@ -416,19 +411,25 @@ def verify_collided_mass(d: int, dp: int) -> tuple[int, int | Fraction, int, boo
 def fiber_mass_table(dmax: int):
     """Rows (mu, mup, degree, margin, interleaved, ok) for all |mu|, |mup| <= dmax.
 
+    degree: fiber_mass(mu, mup).degree, read from the three polynomials (dividing
+    by the integer content keeps both degrees).  margin: the dimension margin
+    complete_flag_dim(sorted merge) - both Aut dimensions + |mup|.
+    interleaved: mup_1 >= mu_1 >= mup_2 >= mu_2 >= ... after common padding.
     ok: margin <= 0, zero exactly when interleaved, and degree = margin - |mup|.
     """
-    from .coweights import flag_mass_margin, is_interleaved
-
     by_size = [list(partitions(d)) for d in range(dmax + 1)]
+    shapes = [mu for mus in by_size for mu in mus]
+    aut_degree = {mu: aut_order_poly(mu).degree for mu in shapes}
+    aut_dim = {mu: _automorphism_dim(mu) for mu in shapes}
     rows = []
     for mus in by_size:
-        for mups in by_size:
+        for dp, mups in enumerate(by_size):
             for mu in mus:
                 for mup in mups:
-                    margin = flag_mass_margin(mu, mup)
-                    deg = fiber_mass_degree(mu, mup)
-                    inter = is_interleaved(mu, mup)
-                    good = margin <= 0 and (margin == 0) == inter and deg == margin - sum(mup)
+                    theta = _interleave(mu, mup, max(len(mu), len(mup), 1))
+                    margin = _complete_flag_dim(sorted(theta, reverse=True)) - aut_dim[mu] - aut_dim[mup] + dp
+                    deg = count_flags_poly(_merge(mu, mup)).degree - aut_degree[mu] - aut_degree[mup]
+                    inter = weakly_decreasing(theta)
+                    good = margin <= 0 and (margin == 0) == inter and deg == margin - dp
                     rows.append((mu, mup, deg, margin, inter, good))
     return rows

@@ -7,19 +7,16 @@ import subprocess
 import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
 import pytest
+from test_coweights import flag_mass_margin, is_interleaved
 
+from flagstrata import coweights as cw
 from flagstrata import flagcount as fc
 from flagstrata import gf
-from flagstrata.coweights import (
-    automorphism_dim,
-    complete_flag_dim,
-    flag_mass_margin,
-    is_interleaved,
-    partitions,
-)
+from flagstrata.coweights import as_partition, automorphism_dim, complete_flag_dim, partitions
 from flagstrata.strata import pairing_count
 
 Q = fc.QPoly((0, 1))
@@ -172,13 +169,66 @@ def test_count_flags_poly_degree():
                 assert poly.degree == complete_flag_dim(mu)
 
 
+def corner_weights(mu):
+    """The per-corner counting polynomials; they sum to geometric(#parts)."""
+    out = []
+    prefix = 0
+    for _, mult in fc._value_groups(as_partition(mu)):
+        out.append(fc.QPoly.q_power(prefix) * fc.QPoly.geometric(mult))
+        prefix += mult
+    return out
+
+
+@cache
+def flags_by_corner_products(mu):
+    """The slow oracle for count_flags_poly: the same corner recursion in QPoly products.
+
+    Each corner peels the last part of its run, re-sorts, and multiplies the
+    peeled type's count by the corner weight q^prefix * geometric(mult).
+    """
+    mu = as_partition(mu)
+    if not mu:
+        return ONE
+    total = fc.QPoly()
+    for (value, mult), weight in zip(fc._value_groups(mu), corner_weights(mu)):
+        peeled = list(mu)
+        peeled[peeled.index(value) + mult - 1] -= 1
+        child = as_partition(sorted(peeled, reverse=True))
+        total = total + weight * flags_by_corner_products(child)
+    return total
+
+
 def test_corner_weights_sum():
     for size in range(1, 8):
         for mu in partitions(size):
             total = fc.QPoly()
-            for w in fc.corner_weights(mu):
+            for w in corner_weights(mu):
                 total = total + w
             assert total == fc.QPoly.geometric(len(mu))
+
+
+def test_count_flags_poly_matches_corner_products():
+    for size in range(13):
+        for mu in partitions(size):
+            assert fc.count_flags_poly(mu) == flags_by_corner_products(mu), mu
+
+
+def test_count_flags_poly_reads_no_dimension_formula(monkeypatch):
+    # the degree cell checks count_flags_poly against complete_flag_dim, so the
+    # polynomial must be built, list size included, without that closed form
+    def refuse(eta):
+        raise AssertionError(f"complete_flag_dim read for {eta}")
+
+    for module in (cw, fc):
+        for name in ("complete_flag_dim", "_complete_flag_dim"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    fc.count_flags_poly.cache_clear()
+    try:
+        for size in range(10):
+            for mu in partitions(size):
+                assert fc.count_flags_poly(mu) == flags_by_corner_products(mu), mu
+    finally:
+        fc.count_flags_poly.cache_clear()
 
 
 def test_aut_order_poly_examples():
@@ -438,10 +488,12 @@ def test_collided_fiber_mass_leading_counts_interleaved_pairs():
 
 
 def test_non_integral_leading_fails_under_optimize():
-    # a mass with leading term 3/2 would truncate to the one pairing of (0, 0)
+    # a mass with leading term 3/2 would truncate to the one pairing of (0, 0);
+    # both the per-term tops and the QRat sum read the patched polynomials: 6 / (2 * 2)
     done = _run_python(
         "from flagstrata import checks, cli, flagcount as fc\n"
-        "fc.fiber_mass = lambda mu, mup: fc.QRat(fc.QPoly((3,)), fc.QPoly((2,)))\n"
+        "fc.count_flags_poly = lambda mu: fc.QPoly((6,))\n"
+        "fc.aut_order_poly = lambda mu: fc.QPoly((2,))\n"
         "print(repr(fc.collided_fiber_mass(0, 0)[2]))\n"
         "print(cli.main(['fibermass', '0', '0']))\n"
         "run = {check.name: check.run for check in checks.CHECKS}\n"
@@ -455,6 +507,61 @@ def test_non_integral_leading_fails_under_optimize():
     assert lines[3:] == ["1", "(0, 0)"]
 
 
+def collided_mass_top_by_qrat(d, dp):
+    """The slow oracle for collided_mass_top: each term's degree and top read from its QRat."""
+    degree, leading = None, Fraction(0)
+    for mu in partitions(d):
+        for mup in partitions(dp):
+            term = fc.fiber_mass(mu, mup)
+            top = Fraction(0) if term.is_zero() else term.leading
+            if top <= 0:
+                raise fc.MassPremiseError(mu, mup, top)
+            if degree is None or term.degree > degree:
+                degree, leading = term.degree, top
+            elif term.degree == degree:
+                leading += top
+    return degree, leading.numerator if leading.denominator == 1 else leading
+
+
+def _mass_outcome(top, d, dp):
+    try:
+        return top(d, dp)
+    except fc.MassPremiseError as exc:
+        return "premise", exc.mu, exc.mup, exc.leading
+
+
+def test_collided_mass_top_matches_per_term_qrat():
+    for dp in range(9):
+        for d in range(dp + 1):
+            assert fc.collided_mass_top(d, dp) == collided_mass_top_by_qrat(d, dp), (d, dp)
+
+
+@pytest.mark.parametrize(
+    "name, shape, scale",
+    [
+        ("aut_order_poly", (1,), 2),  # Aut leading 2: tops 1/2, totals off the pairing count
+        ("aut_order_poly", (2, 1), -1),  # negative Aut leading: a premise failure
+        ("count_flags_poly", (2, 1, 1), -1),  # negative flag leading
+        ("count_flags_poly", (2, 1, 1), 0),  # a zero term
+    ],
+)
+def test_collided_mass_top_matches_per_term_qrat_on_patched_polynomials(monkeypatch, name, shape, scale):
+    # both readings see the patch, as both read the two polynomial functions by name
+    exact, flags = getattr(fc, name), fc.count_flags_poly
+    factor = fc.QPoly((scale,))
+    monkeypatch.setattr(fc, name, lambda mu: exact(mu) * factor if mu == shape else exact(mu))
+    cells = [(d, dp) for dp in range(5) for d in range(dp + 1)]
+    try:
+        fast = [_mass_outcome(fc.collided_mass_top, d, dp) for d, dp in cells]
+        slow = [_mass_outcome(collided_mass_top_by_qrat, d, dp) for d, dp in cells]
+    finally:
+        # count_flags_poly recurses through the patched name, so its cache may hold patched values
+        flags.cache_clear()
+    assert fast == slow
+    assert any(out[0] == "premise" for out in fast) == (scale <= 0)
+    assert any(out != (-dp, pairing_count(d, dp)) for out, (d, dp) in zip(fast, cells))
+
+
 def test_collided_mass_top_matches_exact_sum():
     # the exact pairwise QRat sum is the slow oracle for the per-term tops
     for dp in range(7):
@@ -465,18 +572,19 @@ def test_collided_mass_top_matches_exact_sum():
 
 
 @pytest.mark.parametrize(
-    "bad_term",
+    "bad_flags",
     [
-        "fc.QRat(fc.QPoly((0, -1)), fc.QPoly((0, 0, 1)))",  # leading -1 at degree -1
-        "fc.QRat(fc.QPoly(), fc.ONE)",  # the zero mass
+        "fc.QPoly((0, -1))",  # the mass -q / (q - 1)^2 has leading -1 at degree -1
+        "fc.QPoly()",  # the zero mass
     ],
     ids=["negative-leading", "zero-term"],
 )
-def test_mass_premise_failure_under_optimize(bad_term):
+def test_mass_premise_failure_under_optimize(bad_flags):
+    # (1, 1) is the merged type of the one pair ((1,), (1,)) of every cell with d' <= 1
     done = _run_python(
         "from flagstrata import checks, cli, flagcount as fc\n"
-        "exact = fc.fiber_mass\n"
-        f"fc.fiber_mass = lambda mu, mup: {bad_term} if (mu, mup) == ((1,), (1,)) else exact(mu, mup)\n"
+        "exact = fc.count_flags_poly\n"
+        f"fc.count_flags_poly = lambda mu: {bad_flags} if mu == (1, 1) else exact(mu)\n"
         "print(cli.main(['fibermass', '1', '1']))\n"
         "run = {check.name: check.run for check in checks.CHECKS}\n"
         "print(run['collided-mass-degree-and-leading'](dict(checks.DEFAULT_BOUNDS, mass_d=1), 1))\n",
@@ -513,22 +621,14 @@ def test_fiber_mass_table_shape():
     assert ((1, 1), (2,), -3, -1, False, True) in rows
 
 
-def test_fiber_mass_degree_matches_qrat_degree():
-    shapes = [mu for size in range(7) for mu in partitions(size)]
-    for mu in shapes:
-        for mup in shapes:
-            assert fc.fiber_mass_degree(mu, mup) == fc.fiber_mass(mu, mup).degree, (mu, mup)
-    assert fc.fiber_mass_degree([1, 1, 0], [2]) == -3
-
-
 def test_fiber_mass_table_matches_per_pair_rebuild():
     # the table in row order, rebuilt with the QRat degree of each pair
     rebuilt = [
         (mu, mup, fc.fiber_mass(mu, mup).degree, flag_mass_margin(mu, mup), is_interleaved(mu, mup))
-        for d in range(5)
-        for dp in range(5)
+        for d in range(7)
+        for dp in range(7)
         for mu in partitions(d)
         for mup in partitions(dp)
     ]
-    table = fc.fiber_mass_table(4)
+    table = fc.fiber_mass_table(6)
     assert [row[:5] for row in table] == rebuilt and all(row[5] for row in table)
