@@ -621,14 +621,24 @@ def test_fiber_mass_table_shape():
     assert ((1, 1), (2,), -3, -1, False, True) in rows
 
 
+def test_fiber_mass_degree_matches_qrat_degree():
+    # the table's degree column, read from the polynomials, against the QRat degree
+    table = fc.fiber_mass_table(6)
+    assert len(table) == sum(1 for size in range(7) for _ in partitions(size)) ** 2
+    for mu, mup, deg, *_ in table:
+        assert deg == fc.fiber_mass(mu, mup).degree, (mu, mup)
+    assert ((1, 1), (2,), -3) in [row[:3] for row in table]
+    assert fc.fiber_mass([1, 1, 0], [2]).degree == -3
+
+
 def test_fiber_mass_table_matches_per_pair_rebuild():
     # the table in row order, rebuilt with the QRat degree of each pair
     rebuilt = [
         (mu, mup, fc.fiber_mass(mu, mup).degree, flag_mass_margin(mu, mup), is_interleaved(mu, mup))
-        for d in range(7)
-        for dp in range(7)
+        for d in range(5)
+        for dp in range(5)
         for mu in partitions(d)
         for mup in partitions(dp)
     ]
-    table = fc.fiber_mass_table(6)
+    table = fc.fiber_mass_table(4)
     assert [row[:5] for row in table] == rebuilt and all(row[5] for row in table)
