@@ -328,6 +328,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # an input past an oracle's reach is bad config, like ORBIT_LIMIT
+        print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
+        return 2
     except ValueError as exc:  # a formula fault inside a verification, not bad config
         print(f"error: {exc}", file=sys.stderr)
         return 1

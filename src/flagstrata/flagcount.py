@@ -45,11 +45,6 @@ class QPoly:
             raise ValueError("negative power")
         return cls((0,) * e + (1,))
 
-    @classmethod
-    def geometric(cls, m: int) -> "QPoly":
-        """1 + q + ... + q^{m-1}, i.e. (q^m - 1)/(q - 1)."""
-        return cls((1,) * m)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

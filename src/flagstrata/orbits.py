@@ -9,6 +9,7 @@ invariants, so the two counts are genuinely independent.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from itertools import combinations
 
 from . import gf
@@ -121,27 +122,25 @@ class UnionFind:
 
 
 # The action of a generator on the flags depends only on the matrix and q, so
-# it is built once per process: a flag index per (n, q), and per (matrix, q)
-# the edges that join each cycle of its flag permutation.
-_FLAG_INDEX: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
-_CYCLE_EDGES: dict[tuple[gf.Matrix, int], array] = {}
+# it is built once per process: the flags and their positions per (n, q), and
+# per (matrix, q) the edges that join each cycle of its flag permutation.
+@lru_cache(maxsize=None)
+def _flag_index(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]:
+    """The complete flags of F_q^n in `all_flags` order, and the position of each."""
+    chains = tuple(all_flags(n, q))
+    return chains, {chain: i for i, chain in enumerate(chains)}
 
 
-def _cycle_edges(g: gf.Matrix, q: int, chains: list[tuple[int, ...]]) -> array:
+@lru_cache(maxsize=None)
+def _cycle_edges(g: gf.Matrix, q: int) -> array:
     """Flat (i, g.i) pairs along each cycle of g on the flags, closing step left out.
 
     The cycles are walked from their smallest flag, so a fixed flag gives no
     edge and a cycle of k flags gives k - 1.  A map that is not a bijection
     on the flags raises ValueError.
     """
-    key = (g, q)
-    edges = _CYCLE_EDGES.get(key)
-    if edges is not None:
-        return edges
     n = len(g)
-    index = _FLAG_INDEX.get((n, q))
-    if index is None:
-        index = _FLAG_INDEX[(n, q)] = {chain: i for i, chain in enumerate(chains)}
+    chains, index = _flag_index(n, q)
     image = gf.subspace_lattice(n, q).image(gf.vector_map(g, n, q))
     perm = [index.get(tuple([image[s] for s in chain])) for chain in chains]
     if None in perm or len(set(perm)) != len(perm):
@@ -156,9 +155,7 @@ def _cycle_edges(g: gf.Matrix, q: int, chains: list[tuple[int, ...]]) -> array:
             pairs += (i, j)
             seen[j] = 1
             i, j = j, perm[j]
-    edges = array("i", pairs)
-    _CYCLE_EDGES[key] = edges
-    return edges
+    return array("i", pairs)
 
 
 def orbit_decomposition(d: int, dp: int, q: int) -> list[list[tuple[int, ...]]]:
@@ -172,10 +169,10 @@ def orbit_decomposition(d: int, dp: int, q: int) -> list[list[tuple[int, ...]]]:
     n = d + dp
     if n > ORBIT_LIMIT[q]:
         raise ValueError(f"orbit enumeration capped at dimension {ORBIT_LIMIT[q]} for q={q}")
-    chains = all_flags(n, q)
+    chains, _ = _flag_index(n, q)
     uf = UnionFind(len(chains))
     for g in block_group_generators(d, dp, q):
-        pairs = iter(_cycle_edges(g, q, chains))
+        pairs = iter(_cycle_edges(g, q))
         for a, b in zip(pairs, pairs):
             uf.union(a, b)
     return [[chains[i] for i in members] for members in uf.groups().values()]

@@ -66,10 +66,6 @@ class Involution:
         return frozenset(j for _, j in self.pairs)
 
     @property
-    def fixed(self) -> frozenset:
-        return frozenset(i for i in range(1, self.n + 1) if self(i) == i)
-
-    @property
     def blocks(self) -> list[tuple[int, ...]]:
         """The pairs and the singletons, ordered by their smallest point."""
         return [(i,) if j == i else (i, j) for i, j in enumerate(self.mapping, 1) if j >= i]
@@ -328,7 +324,6 @@ def _stabilizer_class_sums(d: int, dp: int) -> dict[tuple[int, ...], int]:
     return sums
 
 
-@lru_cache(maxsize=None)
 def _induced_character_by_type(ctype: tuple[int, ...], d: int, dp: int) -> int | Fraction:
     """Induced character of sign x triv from the pairing stabilizer H, per class.
 

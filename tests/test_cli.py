@@ -113,6 +113,11 @@ def test_invalid_config_exit_2(capsys):
     for bound in ("orbit_total_q2=6", "orbit_total_q3=5", "brute_flag_size=6", "brute_aut_size=5", "induced_total=8"):
         code, out, err = run(capsys, "--bound", bound, "selftest")
         assert code == 2 and out == "" and err.startswith(f"error: bound {bound.split('=')[0]} capped")
+    # an input deeper than the recursion limit is past the oracle's reach, so bad config too
+    singletons = str([[i] for i in range(1, 2001)]).replace(" ", "")
+    for argv in (("schur", "2000", "1", "1"), ("strata", "0", "2000"), ("levi", "2000", singletons, "0", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == "error: input too large: maximum recursion depth exceeded\n", argv[0]
 
 
 def test_bound_override_warns(capsys):

@@ -178,15 +178,32 @@ def test_cycle_edges_skip_each_closing_step():
                     cycle.append(perm[cycle[-1]])
                 lowest.append(min(cycle))
             want = sorted((i, j) for i, j in enumerate(perm) if j != lowest[i])
-            edges = ob._cycle_edges(g, q, chains)
+            edges = ob._cycle_edges(g, q)
             assert sorted(zip(edges[::2], edges[1::2])) == want, (d, dp, q, g)
+
+
+def test_flags_walked_once_per_dimension_and_field(monkeypatch):
+    cells = [(1, 3), (2, 2), (2, 2)]
+    want = [_per_call_orbits(d, dp, 2) for d, dp in cells]
+    real, calls = ob.all_flags, []
+
+    def counted(n, q):
+        calls.append((n, q))
+        return real(n, q)
+
+    monkeypatch.setattr(ob, "all_flags", counted)
+    assert [ob.orbit_decomposition(d, dp, 2) for d, dp in cells] == want
+    # all three cells have n = 4 at q = 2; an earlier test may already have walked it
+    assert len(calls) <= 1, calls
 
 
 def test_generator_that_does_not_permute_flags_raises(monkeypatch, capsys):
     singular = ((1, 0), (0, 0))
     monkeypatch.setattr(ob, "block_group_generators", lambda d, dp, q: [singular])
-    with pytest.raises(ValueError):
-        ob.orbit_decomposition(1, 1, 2)
+    # a cache does not keep a raise, so the check runs again on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ob.orbit_decomposition(1, 1, 2)
     # raised inside a verification, so the command exits 1
     assert cli.main(["orbits", "1", "1", "2"]) == 1
     assert "does not permute" in capsys.readouterr().err

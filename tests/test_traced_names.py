@@ -10,7 +10,9 @@ would.  Both benchmark files are loaded by path and left unchanged.
 
 A public module-level name that no module of the package reads is code that
 only the tests run; it either becomes a cell of a checks.CHECKS sweep or
-leaves.  The spans the benchmark reads are exempt.
+leaves.  So does a public method or property of a package class whose name
+the package never reads as an attribute.  The spans the benchmark reads are
+exempt.
 """
 
 import ast
@@ -119,15 +121,37 @@ def references(module, tree):
     return found
 
 
-def test_every_public_name_is_read_by_the_package():
+def package_trees():
+    """(module, syntax tree) for each module of the package."""
     package = os.path.dirname(importlib.import_module(tracer.PACKAGE).__file__)
-    defined, read = set(), set()
     for filename in sorted(os.listdir(package)):
         if filename.endswith(".py"):
-            module = filename[:-3]
             with open(os.path.join(package, filename)) as handle:
-                tree = ast.parse(handle.read(), filename)
-            defined |= {(module, name) for statement in tree.body for name in public_names(statement)}
-            read |= references(module, tree)
+                yield filename[:-3], ast.parse(handle.read(), filename)
+
+
+def test_every_public_name_is_read_by_the_package():
+    defined, read = set(), set()
+    for module, tree in package_trees():
+        defined |= {(module, name) for statement in tree.body for name in public_names(statement)}
+        read |= references(module, tree)
     spans = {tuple(key.split(".")[:2]) for key in span_keys()}
     assert sorted(defined - read - spans) == []
+
+
+def test_every_public_member_is_read_by_the_package():
+    """A public method or property of a package class is read as an attribute somewhere in the package."""
+    members, attributes = set(), set()
+    for module, tree in package_trees():
+        for statement in tree.body:
+            if isinstance(statement, ast.ClassDef):
+                members |= {
+                    (module, statement.name, node.name)
+                    for node in statement.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                }
+        attributes |= {
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    spans = {tuple(key.split(".")) for key in span_keys()}
+    assert sorted(member for member in members if member[2] not in attributes and member not in spans) == []
