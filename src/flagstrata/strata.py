@@ -8,8 +8,8 @@ of length n with p[i-1] = image of i.
 
 Characters are class functions, so the invariant dimensions and the induced
 character are sums over cycle types weighted by class size, not over all n!
-permutations.  Up to degree PERM_SWEEP_MAX_DEGREE, one per-permutation sweep in
-character_table is the oracle for them and, via matches_induced, the induced model.
+permutations.  matches_induced checks the traces against the induced model at
+every degree; up to PERM_SWEEP_MAX_DEGREE, character_table also sweeps each permutation.
 """
 
 from __future__ import annotations
@@ -80,9 +80,7 @@ class Involution:
         return self.mapping < other.mapping
 
     def cycle_notation(self) -> str:
-        if not self.pairs:
-            return "()"
-        return "".join(f"({i} {j})" for i, j in self.pairs)
+        return "".join(f"({i} {j})" for i, j in self.pairs) or "()"
 
     def __repr__(self):
         return f"Involution{self.mapping}"
@@ -306,21 +304,24 @@ def _stabilizer_class_sums(d: int, dp: int) -> dict[tuple[int, ...], int]:
 
     The base pairing is {1,2}, {3,4}, ..., {2d-1,2d} plus the singletons
     2d+1..d+d'.  H = (Z/2 wr S_d) x S_{d'-d} permutes the pairs, flips any of
-    them, and permutes the singletons; the character is (-1)^(flips).
+    them, and permutes the singletons; the character is (-1)^(flips).  Only the
+    wreath factor is walked; each type mu of S_{d'-d} adds its (d'-d)!/z_mu elements.
     """
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
-    sums: Counter = Counter()
-    image = [0] * (d + dp)
+    wreath: Counter = Counter()
+    image = [0] * (2 * d)
     for order in permutations(range(d)):
         for flips in product((0, 1), repeat=d):
             for k, (target, flip) in enumerate(zip(order, flips)):
                 image[2 * k] = 2 * target + 1 + flip
                 image[2 * k + 1] = 2 * target + 2 - flip
-            sign = -1 if sum(flips) % 2 else 1
-            for rest in permutations(range(2 * d + 1, d + dp + 1)):
-                image[2 * d :] = rest
-                sums[cycle_type(image)] += sign
+            wreath[cycle_type(image)] += -1 if sum(flips) % 2 else 1
+    sums: Counter = Counter()
+    for mu in partitions(dp - d):
+        size = factorial(dp - d) // _centralizer_order(mu)
+        for lam, value in wreath.items():
+            sums[tuple(sorted(lam + mu, reverse=True))] += size * value
     return sums
 
 
@@ -346,9 +347,8 @@ def matches_induced(table: dict, d: int, dp: int) -> bool:
 def verify_strata(d: int, dp: int) -> tuple:
     """(pairings, C-pairs, cover, characters, induced match, pairing count, ok) for (d, d').
 
-    characters is the character_table or the ClassFunctionError it raised.
-    The induced match is None above PERM_SWEEP_MAX_DEGREE, where no
-    per-permutation sweep checks the table, and then does not fail ok.
+    characters is the character_table or the ClassFunctionError it raised;
+    the induced match is a bool at every degree, False on that error.
     """
     pairings = enumerate_pairings(d, dp)
     c_pairs, covers = stratify(d, dp)
@@ -358,8 +358,8 @@ def verify_strata(d: int, dp: int) -> tuple:
     except ClassFunctionError as exc:
         characters, induced = exc, False
     else:
-        induced = matches_induced(characters, d, dp) if d + dp <= PERM_SWEEP_MAX_DEGREE else None
-    ok = len(pairings) == expected and covers and induced is not False
+        induced = matches_induced(characters, d, dp)
+    ok = len(pairings) == expected and covers and induced
     return pairings, c_pairs, covers, characters, induced, expected, ok
 
 

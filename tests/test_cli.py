@@ -209,6 +209,32 @@ def test_strata_sweeps_symmetric_group_once(capsys, monkeypatch):
     assert walks == [5]
 
 
+def test_strata_induced_match_above_the_sweep_cap(capsys, monkeypatch):
+    # past the per-permutation cap the per-type table still gets the induced-model verdict
+    code, out, _ = run(capsys, "strata", "3", "5")
+    assert code == 0 and "induced-model-match\tTrue\t-\t-\t-" in out.splitlines()
+    code, out, _ = run(capsys, "--format", "json", "strata", "3", "5")
+    assert code == 0 and json.loads(out)["induced_model_match"] is True
+    # the pairing stabilizer's class sum at the identity doubled
+    real, identity = cli.st._stabilizer_class_sums, (1,) * 8
+    doubled = lambda d, dp: {**real(d, dp), identity: 2 * real(d, dp)[identity]}
+    monkeypatch.setattr(cli.st, "_stabilizer_class_sums", doubled)
+    code, out, _ = run(capsys, "strata", "3", "5")
+    assert code == 1 and "induced-model-match\tFalse\t-\t-\t-" in out.splitlines()
+    code, out, _ = run(capsys, "--format", "json", "strata", "3", "5")
+    assert code == 1 and json.loads(out)["induced_model_match"] is False
+
+
+def test_stabilizer_sweep_walks_only_the_wreath_factor(capsys, monkeypatch):
+    # at d = 0 the stabilizer is all of S_7; only the table's sweep may walk it
+    calls = []
+    real = cli.st.cycle_type
+    monkeypatch.setattr(cli.st, "cycle_type", lambda sigma: (calls.append(1), real(sigma))[1])
+    cli.st._stabilizer_class_sums.cache_clear()
+    assert run(capsys, "strata", "0", "7")[0] == 0
+    assert len(calls) <= 5041
+
+
 def test_selftest_fast_bounds(capsys):
     code, out, _ = run(capsys, *FAST_BOUNDS, "selftest")
     assert code == 0

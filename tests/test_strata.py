@@ -1,6 +1,7 @@
 """Pairings, condition-C strata, and the signed induced representation."""
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -213,12 +214,18 @@ def test_induced_realization():
             assert induced is True and ok
 
 
-def test_skipped_induced_match_fails_the_criterion(monkeypatch):
-    # above the per-permutation cap the command passes a skipped match, the criterion does not
+def test_induced_match_above_the_sweep_cap(monkeypatch):
+    # above the per-permutation cap the per-type table is still matched against the induced model
     monkeypatch.setattr(st, "PERM_SWEEP_MAX_DEGREE", 1)
-    assert st.verify_strata(0, 2)[4:] == (None, 1, True)
+    assert st.verify_strata(0, 2)[4:] == (True, 1, True)
     run = {check.name: check.run for check in checks.CHECKS}
     bounds = dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1)
+    assert run["induced-character-and-invariants"](bounds, 1) is None
+    # one class sum doubled above the patched cap fails the match there
+    real = st._stabilizer_class_sums
+    doubled = lambda d, dp: real(d, dp) if d + dp < 2 else {**real(d, dp), (2,): 2 * real(d, dp)[(2,)]}
+    monkeypatch.setattr(st, "_stabilizer_class_sums", doubled)
+    assert st.verify_strata(0, 2)[4:] == (False, 1, False)
     assert run["induced-character-and-invariants"](bounds, 1) == (0, 2)
 
 
@@ -291,6 +298,31 @@ def test_stabilizer_order_divides():
         n = d + dp
         index = factorial(n) // (2**d * factorial(d) * factorial(dp - d))
         assert st._induced_character_by_type(st.cycle_type(identity_perm(n)), d, dp) == index
+
+
+def _stabilizer_class_sums_by_enumeration(d, dp):
+    """Slow oracle: sign x triv summed over every element of H = (Z/2 wr S_d) x S_{d'-d}."""
+    sums = Counter()
+    image = [0] * (d + dp)
+    for order in permutations(range(d)):
+        for flips in product((0, 1), repeat=d):
+            for k, (target, flip) in enumerate(zip(order, flips)):
+                image[2 * k] = 2 * target + 1 + flip
+                image[2 * k + 1] = 2 * target + 2 - flip
+            sign = -1 if sum(flips) % 2 else 1
+            for rest in permutations(range(2 * d + 1, d + dp + 1)):
+                image[2 * d :] = rest
+                sums[st.cycle_type(image)] += sign
+    return sums
+
+
+def test_stabilizer_class_sums_vs_enumeration():
+    # the wreath factor walked, S_{d'-d} added by class size, against a walk of all of H
+    for n in range(9):
+        for d in range(n // 2 + 1):
+            fast = {lam: v for lam, v in st._stabilizer_class_sums(d, n - d).items() if v}
+            slow = {lam: v for lam, v in _stabilizer_class_sums_by_enumeration(d, n - d).items() if v}
+            assert fast == slow, (d, n - d)
 
 
 def _sign_of_relabeling(images):
