@@ -180,7 +180,7 @@ def count_flags_brute(mu, q: int) -> int:
         raise ValueError(f"brute force capped at dimension {BRUTE_FLAG_LIMIT[q]} for q={q}")
     lattice = gf.subspace_lattice(n, q)
     vmap = gf.vector_map(jordan_matrix(mu), n, q)
-    stable = [all(vmap[x] in space for x in space) for space in lattice.spaces]
+    stable = [all(map(space.__contains__, map(vmap.__getitem__, space))) for space in lattice.spaces]
     memo: dict[int, int] = {}
 
     def chains_from(s: int) -> int:
@@ -260,10 +260,10 @@ def count_commutant_units_brute(mu, q: int) -> int:
     of the later rows that the picked coefficients already fix.  A row inside
     span s makes the matrix singular and is skipped; any other row steps to the
     cover of s that contains it.  Rows are held as lattice vector indices and
-    added with the lattice's translate table.  Completion counts are memoized
-    on the state within the call.  Only span membership is used, never the
-    |Aut| formula or a |GL_n| product, so aut_order_poly is checked
-    independently.
+    added with the lattice's translate table.  The last row is counted in one
+    pass, and the other counts are memoized on the state within the call.
+    Only span membership is used, never the |Aut| formula or a |GL_n|
+    product, so aut_order_poly is checked independently.
     """
     n = sum(as_partition(mu))
     if q not in BRUTE_FLAG_LIMIT:
@@ -275,38 +275,36 @@ def count_commutant_units_brute(mu, q: int) -> int:
     lattice = gf.subspace_lattice(n, q)
     add = lattice.translate
     basis = gf.rref([sum(b, ()) for b in gf.commutant_basis(jordan_matrix(mu), q)], q)
-    spans = [[(0,) * (n * (n - i))] for i in range(n)]
-    for v in basis:
-        i = next(j for j, x in enumerate(v) if x) // n
-        tail = v[i * n:]
-        spans[i] = [
-            tuple((a + c * b) % q for a, b in zip(w, tail)) for c in range(q) for w in spans[i]
-        ]
     # combos[i]: every combination of the vectors pivoting in row i, as the
     # vector indices of its rows i..n-1
-    combos = [
-        [tuple(gf.vector_index(w[k:k + n], q) for k in range(0, len(w), n)) for w in span]
-        for span in spans
-    ]
+    combos = [[(0,) * (n - i)] for i in range(n)]
+    for v in basis:
+        i = next(j for j, x in enumerate(v) if x) // n
+        lines = [lattice.multiples[gf.vector_index(v[k:k + n], q)] for k in range(i * n, n * n, n)]
+        combos[i] = [tuple([add[a][m[c]] for a, m in zip(w, lines)]) for c in range(q) for w in combos[i]]
+    # columns[i][k]: row i + k of each of those combinations; k = 0 is the row
+    # picked at step i, and k > 0 what it adds to the offset of a later row
+    columns = [list(zip(*combo)) for combo in combos]
     # joins[s][x]: the cover of s that contains vector x, read only for x outside s
     joins: dict[int, dict[int, int]] = {}
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def completions(s: int, offset: tuple[int, ...]) -> int:
-        if not offset:
-            return 1
-        if (s, offset) not in memo:
-            if s not in joins:
-                joins[s] = {x: c for c in lattice.covers[s] for x in lattice.spaces[c]}
-            space, join = lattice.spaces[s], joins[s]
-            row, rest = add[offset[0]], offset[1:]
-            total = 0
-            for combo in combos[n - len(offset)]:
-                x = row[combo[0]]
-                if x not in space:
-                    total += completions(join[x], tuple(add[a][b] for a, b in zip(rest, combo[1:])))
-            memo[s, offset] = total
-        return memo[s, offset]
+        space, row, (heads, *tails) = lattice.spaces[s], add[offset[0]], columns[n - len(offset)]
+        rows = map(row.__getitem__, heads)
+        if not tails:  # the last row: each choice outside s completes one unit
+            return len(heads) - sum(map(space.__contains__, rows))
+        if s not in joins:
+            joins[s] = {x: c for c in lattice.covers[s] for x in lattice.spaces[c]}
+        join, total = joins[s], 0
+        offsets = zip(*[map(add[a].__getitem__, tail) for a, tail in zip(offset[1:], tails)])
+        for x, rest in zip(rows, offsets):
+            if x not in space:
+                state = join[x], rest
+                if state not in memo:
+                    memo[state] = completions(*state)
+                total += memo[state]
+        return total
 
     return completions(0, (0,) * n)
 

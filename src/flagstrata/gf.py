@@ -1,17 +1,16 @@
 """Dense linear algebra and the subspace lattice over a small prime field F_q.
 
 Vectors are tuples of ints in range(q); matrices are tuples of row vectors.
-Everything is tiny (dimension <= 5), so plain Python arithmetic is used.
-
-The subspace lattice indexes the q^n vectors of F_q^n in `all_vectors` order
-and holds each subspace as the frozenset of its vector indices, which is
-canonical without any echelon form.
+The subspace lattice works on vector indices instead: the base-q digits of
+index x are the entries of its vector, first entry most significant.  Sums
+and multiples are lookups in tables built one digit at a time, a matrix acts
+as the list of the indices of its images, and a subspace is the frozenset of
+its vector indices, which is canonical without any echelon form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 Vector = tuple[int, ...]
@@ -20,10 +19,6 @@ Matrix = tuple[Vector, ...]
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_vec(m: Matrix, v: Vector, q: int) -> Vector:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) % q for row in m)
 
 
 def rref(rows, q: int) -> Matrix:
@@ -59,17 +54,13 @@ def in_span(rows: Matrix, v: Vector, q: int) -> bool:
     return not any(x % q for x in vec)
 
 
-def all_vectors(n: int, q: int):
-    return product(range(q), repeat=n)
-
-
 def primitive_root(q: int) -> int:
     """The smallest generator of the unit group of the prime field F_q."""
     return next(g for g in range(1, q) if len({pow(g, k, q) for k in range(1, q)}) == q - 1)
 
 
 def vector_index(v: Vector, q: int) -> int:
-    """Position of v in `all_vectors` order: its entries as base-q digits."""
+    """The index of v: its entries as base-q digits, first entry most significant."""
     index = 0
     for x in v:
         index = index * q + x
@@ -78,7 +69,12 @@ def vector_index(v: Vector, q: int) -> int:
 
 def vector_map(matrix: Matrix, n: int, q: int) -> tuple[int, ...]:
     """A linear map on vector indices: entry i is the index of matrix times vector i."""
-    return tuple(vector_index(mat_vec(matrix, v, q), q) for v in all_vectors(n, q))
+    lattice = subspace_lattice(n, q)
+    image = [0]
+    for j in range(n):  # M.v = sum of v_j col_j, so index x q + c maps to the image of x plus c col_j
+        line = lattice.multiples[vector_index([row[j] % q for row in matrix], q)]
+        image = [lattice.translate[y][z] for y in image for z in line]
+    return tuple(image)
 
 
 class SubspaceLattice(NamedTuple):
@@ -87,17 +83,18 @@ class SubspaceLattice(NamedTuple):
     spaces[s] is the frozenset of vector indices of subspace s, ids inverts
     it, and covers[s] lists the ids of the subspaces one dimension above s
     (empty only for the whole space).  translate[w][x] is the index of
-    vector x + vector w.
+    vector x + vector w, and multiples[x][c] that of c times vector x.
     """
 
     spaces: tuple[frozenset[int], ...]
     ids: dict[frozenset[int], int]
     covers: tuple[tuple[int, ...], ...]
     translate: tuple[tuple[int, ...], ...]
+    multiples: tuple[tuple[int, ...], ...]
 
     def image(self, vmap: tuple[int, ...]) -> tuple[int, ...]:
         """The id of the image of every subspace under an invertible vector_map."""
-        return tuple(self.ids[frozenset(vmap[x] for x in space)] for space in self.spaces)
+        return tuple(self.ids[frozenset(map(vmap.__getitem__, space))] for space in self.spaces)
 
 
 @lru_cache(maxsize=None)
@@ -106,31 +103,35 @@ def subspace_lattice(n: int, q: int) -> SubspaceLattice:
 
     The covers of s are listed in order of their smallest vector index
     outside s, so a depth-first walk meets the chains in the order of a scan
-    of `all_vectors` at each step.
+    of the vector indices at each step.
     """
-    vectors = list(all_vectors(n, q))
-    translate = tuple(
-        tuple(vector_index(tuple((a + b) % q for a, b in zip(u, w)), q) for u in vectors)
-        for w in vectors
-    )
+    translate, multiples = ((0,),), ((0,) * q,)
+    for _ in range(n):  # one more trailing digit: index x' q + a from index x' of one digit fewer
+        translate = tuple(
+            tuple([t * q + (a + b) % q for t in row for b in range(q)]) for row in translate for a in range(q)
+        )
+        multiples = tuple(
+            tuple([m * q + c * a % q for c, m in enumerate(row)]) for row in multiples for a in range(q)
+        )
     spaces = [frozenset({0})]
     ids = {spaces[0]: 0}
     covers = []
     for space in spaces:  # spaces grows as new subspaces are met
         seen = set(space)
         up = []
-        for x, v in enumerate(vectors):
+        for x, line in enumerate(multiples):
             if x in seen:
                 continue
-            line = [vector_index(tuple(c * a % q for a in v), q) for c in range(q)]
-            cover = frozenset(translate[w][y] for w in line for y in space)
+            cover = space.union(*[map(translate[w].__getitem__, space) for w in line[1:]])
             seen |= cover
             if cover not in ids:
                 ids[cover] = len(spaces)
                 spaces.append(cover)
             up.append(ids[cover])
+            if len(seen) == len(multiples):  # every vector lies in s or a cover met
+                break
         covers.append(tuple(up))
-    return SubspaceLattice(tuple(spaces), ids, tuple(covers), translate)
+    return SubspaceLattice(tuple(spaces), ids, tuple(covers), translate, multiples)
 
 
 def nullspace_basis(rows, q: int) -> list[Vector]:

@@ -12,6 +12,7 @@ from operator import mul
 
 import pytest
 from test_coweights import flag_mass_margin, is_interleaved
+from test_gf import all_vectors, mat_vec
 
 from flagstrata import coweights as cw
 from flagstrata import flagcount as fc
@@ -125,7 +126,7 @@ def _flags_by_echelon_chains(mu, q):
     # the slow oracle: covers found by scanning every vector, subspaces keyed by RREF
     n = sum(mu)
     t = fc.jordan_matrix(mu)
-    vectors = [v for v in gf.all_vectors(n, q) if any(v)]
+    vectors = [v for v in all_vectors(n, q) if any(v)]
     memo = {}
 
     def chains_from(sub):
@@ -136,7 +137,7 @@ def _flags_by_echelon_chains(mu, q):
             memo[sub] = sum(
                 chains_from(cover)
                 for cover in covers
-                if all(gf.in_span(cover, gf.mat_vec(t, row, q), q) for row in cover)
+                if all(gf.in_span(cover, mat_vec(t, row, q), q) for row in cover)
             )
         return memo[sub]
 

@@ -3,6 +3,7 @@
 from math import comb, prod
 
 import pytest
+from test_gf import all_vectors, mat_vec
 
 from flagstrata import checks, cli, gf
 from flagstrata import orbits as ob
@@ -62,7 +63,7 @@ def _echelon_flags(n, q):
             return
         current = chain[-1] if chain else ()
         seen = set()
-        for v in gf.all_vectors(n, q):
+        for v in all_vectors(n, q):
             if not any(v) or gf.in_span(current, v, q):
                 continue
             bigger = gf.rref(current + (v,), q)
@@ -75,7 +76,7 @@ def _echelon_flags(n, q):
 
 
 def _echelon_move(g, flag, q):
-    return tuple(gf.rref(tuple(gf.mat_vec(g, row, q) for row in sub), q) for sub in flag)
+    return tuple(gf.rref(tuple(mat_vec(g, row, q) for row in sub), q) for sub in flag)
 
 
 def _echelon_orbits(d, dp, q):
@@ -90,7 +91,7 @@ def _echelon_orbits(d, dp, q):
 
 def _echelon_decoder(n, q):
     """Each chain of lattice ids as the tuple of RREF matrices of its subspaces."""
-    vectors = list(gf.all_vectors(n, q))
+    vectors = list(all_vectors(n, q))
     spaces = gf.subspace_lattice(n, q).spaces
     echelon = [gf.rref([vectors[x] for x in space], q) for space in spaces]
     return lambda chain: tuple(echelon[s] for s in chain)
