@@ -12,9 +12,9 @@ one verdict; the sweep only loops and names the first failing cell.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import closing
 from math import comb
-from typing import Callable, NamedTuple
 
 from . import coweights as cw
 from . import flagcount as fc
@@ -54,10 +54,7 @@ BOUND_CAPS = {
 POSITIVE_BOUNDS = ("schur_n", "invariants_r", "levi_rank", "identity_n")
 
 
-class Check(NamedTuple):
-    name: str
-    budget: float
-    run: Callable[[dict, int], tuple | None]
+Check = namedtuple("Check", "name budget run")
 
 
 def _schur_sweep(bounds, jobs):

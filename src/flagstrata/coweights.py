@@ -6,7 +6,6 @@ tuple of nonnegative integers with trailing zeros trimmed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import ge, le, mul
 
 Vec = tuple[int, ...]
@@ -150,8 +149,12 @@ def flag_bundle_dim(n: int, r: int, g: int) -> int:
 
 def _exact(num: int, den: int) -> int | Fraction:
     """num / den: an int when it divides exactly, else a Fraction."""
-    value = Fraction(num, den)
-    return value.numerator if value.denominator == 1 else value
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        from fractions import Fraction
+
+        return Fraction(num, den)
+    return quotient
 
 
 def flag_bundle_dim_even(n: int, r: int, g: int) -> int | Fraction:

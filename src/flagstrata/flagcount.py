@@ -9,8 +9,6 @@ Brute-force counters over F_2 and F_3 validate every polynomial formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from math import gcd
@@ -19,6 +17,7 @@ from . import gf
 from .coweights import (
     _automorphism_dim,
     _complete_flag_dim,
+    _exact,
     _interleave,
     as_partition,
     conjugate,
@@ -108,17 +107,15 @@ class QPoly:
 ONE = QPoly((1,))
 
 
-@dataclass(frozen=True)
 class QRat:
-    """Ratio of integer polynomials in q, reduced only by integer content."""
+    """Ratio of integer polynomials in q, reduced only by integer content.
 
-    num: QPoly
-    den: QPoly
+    Immutable; equal and hashed by its normalized (num, den).
+    """
 
-    def __post_init__(self):
-        if self.den.is_zero():
+    def __init__(self, num: QPoly, den: QPoly):
+        if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        num, den = self.num, self.den
         if den.leading < 0:
             num, den = -num, -den
         g = gcd(num.content(), den.content())
@@ -127,6 +124,20 @@ class QRat:
             den = QPoly(c // g for c in den.coeffs)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -139,6 +150,8 @@ class QRat:
     @property
     def leading(self) -> Fraction:
         """First Laurent coefficient of the expansion at q -> infinity."""
+        from fractions import Fraction
+
         return Fraction(self.num.leading, self.den.leading)
 
     def __add__(self, other: "QRat") -> "QRat":
@@ -378,20 +391,22 @@ def collided_mass_top(d: int, dp: int) -> tuple[int, int | Fraction]:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
     # a term's degree and Laurent top read from its three polynomials: QRat's
     # content reduction and sign flip scale numerator and denominator alike
-    degree, leading = None, Fraction(0)
+    degree, num, den = None, 0, 1  # the total's leading coefficient is num / den
     for mu in partitions(d):
         aut = aut_order_poly(mu)
         for mup in partitions(dp):
             flags, autp = count_flags_poly(_merge(mu, mup)), aut_order_poly(mup)
-            top = Fraction(0) if flags.is_zero() else Fraction(flags.leading, aut.leading * autp.leading)
-            if top <= 0:
-                raise MassPremiseError(mu, mup, top)
+            top_num, top_den = (0, 1) if flags.is_zero() else (flags.leading, aut.leading * autp.leading)
+            if top_num * top_den <= 0:
+                from fractions import Fraction
+
+                raise MassPremiseError(mu, mup, Fraction(top_num, top_den))
             term_degree = flags.degree - aut.degree - autp.degree
             if degree is None or term_degree > degree:
-                degree, leading = term_degree, top
+                degree, num, den = term_degree, top_num, top_den
             elif term_degree == degree:
-                leading += top
-    return degree, leading.numerator if leading.denominator == 1 else leading
+                num, den = num * top_den + top_num * den, den * top_den
+    return degree, _exact(num, den)
 
 
 def verify_collided_mass(d: int, dp: int) -> tuple[int, int | Fraction, int, bool]:

@@ -10,8 +10,8 @@ its vector indices, which is canonical without any echelon form.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -77,7 +77,7 @@ def vector_map(matrix: Matrix, n: int, q: int) -> tuple[int, ...]:
     return tuple(image)
 
 
-class SubspaceLattice(NamedTuple):
+class SubspaceLattice(namedtuple("SubspaceLattice", "spaces ids covers translate multiples")):
     """Every subspace of F_q^n, ids in breadth-first order from the zero space.
 
     spaces[s] is the frozenset of vector indices of subspace s, ids inverts
@@ -86,15 +86,24 @@ class SubspaceLattice(NamedTuple):
     vector x + vector w, and multiples[x][c] that of c times vector x.
     """
 
-    spaces: tuple[frozenset[int], ...]
-    ids: dict[frozenset[int], int]
-    covers: tuple[tuple[int, ...], ...]
-    translate: tuple[tuple[int, ...], ...]
-    multiples: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def image(self, vmap: tuple[int, ...]) -> tuple[int, ...]:
         """The id of the image of every subspace under an invertible vector_map."""
         return tuple(self.ids[frozenset(map(vmap.__getitem__, space))] for space in self.spaces)
+
+
+def _digit_tables(n: int, q: int):
+    """The translate and multiples tables of SubspaceLattice, built one base-q digit at a time."""
+    translate, multiples = ((0,),), ((0,) * q,)
+    for _ in range(n):  # one more trailing digit: index x' q + a from index x' of one digit fewer
+        translate = tuple(
+            tuple([t * q + (a + b) % q for t in row for b in range(q)]) for row in translate for a in range(q)
+        )
+        multiples = tuple(
+            tuple([m * q + c * a % q for c, m in enumerate(row)]) for row in multiples for a in range(q)
+        )
+    return translate, multiples
 
 
 @lru_cache(maxsize=None)
@@ -105,14 +114,7 @@ def subspace_lattice(n: int, q: int) -> SubspaceLattice:
     outside s, so a depth-first walk meets the chains in the order of a scan
     of the vector indices at each step.
     """
-    translate, multiples = ((0,),), ((0,) * q,)
-    for _ in range(n):  # one more trailing digit: index x' q + a from index x' of one digit fewer
-        translate = tuple(
-            tuple([t * q + (a + b) % q for t in row for b in range(q)]) for row in translate for a in range(q)
-        )
-        multiples = tuple(
-            tuple([m * q + c * a % q for c, m in enumerate(row)]) for row in multiples for a in range(q)
-        )
+    translate, multiples = _digit_tables(n, q)
     spaces = [frozenset({0})]
     ids = {spaces[0]: 0}
     covers = []
@@ -123,6 +125,10 @@ def subspace_lattice(n: int, q: int) -> SubspaceLattice:
             if x in seen:
                 continue
             cover = space.union(*[map(translate[w].__getitem__, space) for w in line[1:]])
+            if len(cover) != q * len(space):  # a wrong translate or multiples table
+                raise ValueError(
+                    f"cover of a {len(space)}-vector space has {len(cover)} vectors, not {q * len(space)}"
+                )
             seen |= cover
             if cover not in ids:
                 ids[cover] = len(spaces)

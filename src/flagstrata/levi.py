@@ -9,7 +9,7 @@ coroots of the Levi are e_a - e_b for a before b in a common block.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from operator import ge
@@ -19,22 +19,25 @@ from .coweights import pairing, weakly_decreasing, weakly_increasing
 Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BlockLevi:
-    n: int
-    blocks: tuple[tuple[int, ...], ...] = field()
+class BlockLevi(namedtuple("BlockLevi", "n blocks")):
+    """A block Levi of GL_n: blocks sorted, each block sorted.
 
-    def __init__(self, n: int, blocks):
+    An immutable pair (n, blocks) whose hash and equality are the tuple's own,
+    so the lru_cache lookups keyed on a Levi run in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, blocks):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
         canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        object.__setattr__(self, "blocks", canon)
         flat = [i for b in canon for i in b]
         if sorted(flat) != list(range(1, n + 1)):
             raise ValueError(f"blocks {blocks} are not a partition of 1..{n}")
         if any(not b for b in canon):
             raise ValueError("empty block")
+        return super().__new__(cls, n, canon)
 
     def __str__(self):
         return "[" + ",".join("[" + ",".join(map(str, b)) + "]" for b in self.blocks) + "]"

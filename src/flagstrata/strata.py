@@ -15,7 +15,6 @@ every degree; up to PERM_SWEEP_MAX_DEGREE, character_table also sweeps each perm
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial

@@ -6,11 +6,20 @@ Oracles used here, independent of the implementation under test:
     - the even-rank closed form of the flag bundle dimension
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from flagstrata import coweights as cw
+
+
+def test_exact_is_int_when_integral():
+    for num in range(-12, 13):
+        for den in [d for d in range(-6, 7) if d]:
+            value = cw._exact(num, den)
+            assert value == Fraction(num, den), (num, den)
+            assert type(value) is (int if num % den == 0 else Fraction), (num, den)
 
 
 def test_serialization_round_trip():

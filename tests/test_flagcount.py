@@ -1,5 +1,6 @@
 """Exact q-polynomial counts versus brute force over F_2 and F_3."""
 
+import inspect
 import itertools
 import os
 import random
@@ -55,6 +56,22 @@ def test_qrat_reduction_and_degree():
     assert fc.QRat(Q + ONE, (Q - ONE) * (Q - ONE)).degree == -1
     with pytest.raises(ZeroDivisionError):
         fc.QRat(ONE, fc.QPoly())
+
+
+def test_qrat_is_an_immutable_value():
+    r = fc.QRat(fc.QPoly((-2, -2)), fc.QPoly((0, -4)))
+    # the sign goes to the numerator and the integer content is divided out
+    assert (r.num.coeffs, r.den.coeffs) == ((1, 1), (0, 2))
+    with pytest.raises(AttributeError):
+        r.num = ONE
+    with pytest.raises(AttributeError):
+        del r.den
+    same = fc.QRat(fc.QPoly((3, 3)), fc.QPoly((0, 6)))
+    assert same == r and hash(same) == hash(r)
+    assert r != fc.QRat(ONE, ONE) and r != (r.num, r.den)
+    assert repr(r) == "QRat(QPoly(1, 1), QPoly(0, 2))"
+    # perfbench/layers.py counts calls of flagcount.QRat.__add__, which the tracer wraps in the class body
+    assert inspect.isfunction(vars(fc.QRat)["__add__"])
 
 
 def test_qrat_laurent_expansion():
@@ -575,6 +592,33 @@ def test_collided_mass_top_matches_exact_sum():
             assert fc.collided_mass_top(d, dp) == fc.collided_fiber_mass(d, dp)[1:], (d, dp)
     for d, dp in [(6, 8), (8, 8), (6, 10), (10, 10)]:
         assert fc.collided_mass_top(d, dp) == (-dp, pairing_count(d, dp))
+
+
+def test_collided_mass_top_is_int_when_integral(monkeypatch):
+    for dp in range(5):
+        for d in range(dp + 1):
+            assert type(fc.collided_mass_top(d, dp)[1]) is int
+    # an Aut leading of 2 for the type (1,) halves the one term of (0, 1)
+    exact, flags = fc.aut_order_poly, fc.count_flags_poly
+    monkeypatch.setattr(fc, "aut_order_poly", lambda mu: exact(mu) * fc.QPoly((2,)) if mu == (1,) else exact(mu))
+    try:
+        leading = fc.collided_mass_top(0, 1)[1]
+    finally:
+        flags.cache_clear()
+    assert type(leading) is Fraction and leading == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("bad_flags, leading", [(fc.QPoly((0, -1)), -1), (fc.QPoly(), 0)])
+def test_mass_premise_error_message_and_leading(monkeypatch, bad_flags, leading):
+    exact = fc.count_flags_poly
+    monkeypatch.setattr(fc, "count_flags_poly", lambda mu: bad_flags if mu == (1, 1) else exact(mu))
+    with pytest.raises(fc.MassPremiseError) as caught:
+        fc.collided_mass_top(1, 1)
+    assert str(caught.value) == (
+        f"fiber mass of ((1,), (1,)) has leading coefficient {leading}, so terms could cancel at q -> infinity"
+    )
+    assert (caught.value.mu, caught.value.mup) == ((1,), (1,))
+    assert type(caught.value.leading) is Fraction and caught.value.leading == leading
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import random
 from itertools import product
 
+import pytest
+
 from flagstrata import flagcount as fc
 from flagstrata import gf
 from flagstrata import orbits as ob
@@ -104,7 +106,22 @@ def test_lattice_closed_form_counts():
         for space, up in zip(lattice.spaces, lattice.covers):
             k = _dimension(len(space), q)
             assert len(up) == (q ** (n - k) - 1) // (q - 1), (n, q, k)
-            assert all(len(lattice.spaces[c]) == q * len(space) for c in up)
+            assert all(space < lattice.spaces[c] and len(lattice.spaces[c]) == q * len(space) for c in up)
+
+
+def test_lattice_build_refuses_a_cover_that_is_not_one_dimension_up(monkeypatch):
+    # test_lattice_closed_form_counts checks every cover of the correct lattices, (4, 2) and (3, 3) among them
+    tables = gf._digit_tables
+
+    def off_by_one(n, q):  # multiples[x][c] the index of (c + 1) times vector x
+        translate, multiples = tables(n, q)
+        return translate, tuple(row[1:] + row[:1] for row in multiples)
+
+    # unguarded, this table lists 2,464 "subspaces" of F_3^3 and exhausts memory at (4, 3)
+    monkeypatch.setattr(gf, "_digit_tables", off_by_one)
+    for n, q in ((4, 2), (3, 3), (4, 3)):
+        with pytest.raises(ValueError, match=r"-vector space has \d+ vectors, not \d+$"):
+            gf.subspace_lattice.__wrapped__(n, q)
 
 
 # -- vector maps ---------------------------------------------------------------

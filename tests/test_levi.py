@@ -1,5 +1,6 @@
 """Block Levis: dominance orders, the squeeze set, and the pairing-gap bound."""
 
+import pickle
 import random
 from itertools import permutations, product
 
@@ -186,6 +187,21 @@ def test_block_levi_validation():
         lv.BlockLevi(3, [(1, 2), (2, 3)])
     assert lv.parse_blocks(4, "[[1,3],[2,4]]") == INTER4
     assert str(INTER4) == "[[1,3],[2,4]]"
+
+
+def test_block_levi_is_an_immutable_value():
+    with pytest.raises(AttributeError):
+        INTER4.n = 5
+    with pytest.raises(AttributeError):
+        INTER4.blocks = ((1, 2, 3, 4),)
+    # blocks in any order, each in any order, give one Levi
+    for blocks in permutations([(3, 1), (4, 2)]):
+        for levi in (lv.BlockLevi(4, blocks), lv.BlockLevi(4, [b[::-1] for b in blocks])):
+            assert levi == INTER4 and hash(levi) == hash(INTER4)
+            assert levi.blocks == ((1, 3), (2, 4))
+    assert INTER4 != STD4
+    assert repr(INTER4) == "BlockLevi(n=4, blocks=((1, 3), (2, 4)))"  # the frozen dataclass repr
+    assert pickle.loads(pickle.dumps(INTER4)) == INTER4
 
 
 def test_two_rho():
