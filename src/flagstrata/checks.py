@@ -143,9 +143,27 @@ def _orbit_sweep(bounds, jobs):
     return None
 
 
+def _bell(m):
+    """The Bell number B(m), the last entry of row m of the Bell triangle."""
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
 def _levi_sweep(bounds, jobs):
-    """The bound, its equality configuration and its converse on every antistandard Levi."""
-    levis = [levi for n in range(1, bounds["levi_rank"] + 1) for levi in lv.antistandard_levis(n)]
+    """The antistandard Levi count, then the bound, its equality configuration and its converse on each."""
+    levis = []
+    for n in range(1, bounds["levi_rank"] + 1):
+        # a block Levi is antistandard exactly when no block holds both i and i + 1, and
+        # the set partitions of {1..n} with no such block are counted by the Bell number B(n - 1)
+        found = lv.antistandard_levis(n)
+        if len(found) != _bell(n - 1):
+            return "antistandard-count", n, len(found), _bell(n - 1)
+        levis += found
     bound = bounds["levi_bound"]
     # one worker pool for the whole criterion; leaving early closes it
     with closing(lv.sweep_levis(levis, bound, bound, jobs)) as reports:

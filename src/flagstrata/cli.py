@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import coweights as cw
@@ -54,6 +53,8 @@ def _parse_bounds(pairs) -> dict[str, int]:
 
 def _emit(header, rows, fmt, payload):
     if fmt == "json":
+        import json  # only JSON output reads it, so a TSV call never loads it
+
         if payload is None:  # built only here, so a TSV call never builds it
             payload = [dict(zip(header, row)) for row in rows]
         print(json.dumps(payload, default=str))

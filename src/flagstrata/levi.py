@@ -11,7 +11,8 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
+from math import comb, prod
 from operator import ge
 
 from .coweights import pairing, weakly_decreasing, weakly_increasing
@@ -173,7 +174,7 @@ def j_set(lam: Vec, nu: Vec, levi: BlockLevi) -> list[Vec]:
     """
     _check_pair(lam, nu, levi)
     rows = _LeviKernel(levi).rows(lam, min(nu), max(nu))
-    return [mu for mu, mu_dom, _, _ in rows if leq_g(mu_dom, nu)]
+    return sorted(mu for mu, mu_dom, _, _ in rows if leq_g(mu_dom, nu))
 
 
 def _check_pair(lam: Vec, nu: Vec, levi: BlockLevi) -> None:
@@ -223,9 +224,38 @@ def verify_inequality(lam: Vec, nu: Vec, levi: BlockLevi) -> dict:
     kernel = _LeviKernel(levi)
     # the bound <lam, gap> is read first: pairing reports a lam of the wrong
     # length before nu is looked at
-    pairing(lam, kernel.rho_gap)
+    rhs = pairing(lam, kernel.rho_gap)
     _check_pair(lam, nu, levi)
-    return kernel.report(kernel.kept(lam, min(nu), max(nu)), nu)
+    rows = kernel.rows(lam, min(nu), max(nu))
+    r2 = pairing(lam, kernel.rho) - pairing(lam, kernel.rho_m)
+    return kernel.report(_below(kernel.witnesses(lam, rhs, r2, rows), nu))
+
+
+def _below(kept: list[tuple[dict, bool]], nu: Vec) -> list[tuple[dict, bool]]:
+    """The kept witnesses at nu: those whose mu lies in the squeeze set, below nu."""
+    return [(found, ok) for found, ok in kept if leq_g(found["mu_dom"], nu)]
+
+
+def _decreasing_tuples(length: int, lo: int, hi: int):
+    """Every weakly decreasing tuple with entries in [lo, hi]."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(lo, hi + 1):
+        for rest in _decreasing_tuples(length - 1, lo, first):
+            yield (first,) + rest
+
+
+def _orderings(values: Vec):
+    """The distinct orderings of values, in increasing lexicographic order."""
+    if not values:
+        yield ()
+        return
+    for first in sorted(set(values)):
+        rest = list(values)
+        rest.remove(first)
+        for tail in _orderings(tuple(rest)):
+            yield (first,) + tail
 
 
 class _LeviKernel:
@@ -233,15 +263,12 @@ class _LeviKernel:
 
     The rho vectors, their gap and the antistandard flag are fixed by the
     Levi.  The candidates of a lam depend on it only through its dom_m
-    class, the block-sorted lam, so each class gets its rows once per range:
-    (mu, dom_g(mu), f(mu), g(mu)) for each sorted candidate mu, built from
-    per-block choices cached on (block values, lo, hi) and from one row per
-    mu.  A lam with an entry outside [lo, hi] has no candidates and costs no
-    class lookup; any other lam costs at most three pairings and a walk over
-    its class rows.  A kernel lives for one sweep chunk or one public call,
-    so nothing is kept across sweeps.  It calls f_val and pairing through
-    the module globals: a rebound f_val or pairing takes effect from the
-    next sweep on.
+    class, the block-sorted lam, and a class's rows are
+    (mu, dom_g(mu), f(mu), g(mu)), one per candidate mu, built from per-block
+    choices cached on (block values, lo, hi) and from one row per mu.  A
+    kernel lives for one sweep chunk or one public call, so nothing is kept
+    across sweeps.  It calls f_val and pairing through the module globals:
+    a rebound f_val or pairing takes effect from the next sweep on.
     """
 
     def __init__(self, levi: BlockLevi):
@@ -252,7 +279,6 @@ class _LeviKernel:
         self.antistandard = is_antistandard(levi)
         self._index = [[p - 1 for p in block] for block in levi.blocks]
         self._choices: dict = {}
-        self._rows: dict = {}
         self._mu_rows: dict = {}
 
     def block_choices(self, top: Vec, lo: int, hi: int) -> list[Vec]:
@@ -268,31 +294,37 @@ class _LeviKernel:
             self._choices[key] = found
         return found
 
-    def rows(self, lam: Vec, lo: int, hi: int) -> list[tuple]:
-        """The rows of lam's dom_m class: one per candidate mu, in sorted order.
+    def class_rows(self, choices: list[list[Vec]]) -> list[tuple]:
+        """The rows of a dom_m class, one per candidate mu, from each block's block_choices.
 
         The candidates are the Levi-dominant mu with entries in [lo, hi]
-        above lam blockwise.  For a dominant nu with lo <= min(nu) and
-        max(nu) <= hi, the squeeze set of (lam, nu) is the candidates with
-        leq_g(dom_g(mu), nu): that test forces equal sums and the entries of
-        mu into [min nu, max nu].
+        above the class blockwise.  For a lam of the class and a dominant nu
+        with lo <= min(nu) and max(nu) <= hi, the squeeze set of (lam, nu) is
+        the candidates with leq_g(dom_g(mu), nu): that test forces equal sums
+        and the entries of mu into [min nu, max nu].  A row is built once per
+        kernel, keyed on mu's blocks, and f_val is called once per mu.
         """
+        mu_rows = self._mu_rows
+        out = []
+        for combo in product(*choices):
+            row = mu_rows.get(combo)
+            if row is None:
+                row = mu_rows[combo] = self.mu_row(_place(self.levi, combo))
+            out.append(row)
+        return out
+
+    def rows(self, lam: Vec, lo: int, hi: int) -> list[tuple]:
+        """The rows of lam's dom_m class over [lo, hi]."""
         if min(lam) < lo or hi < max(lam):
             # a block of mu above a block of lam starts at least as high and
             # ends at least as low, so some block has no choice in [lo, hi]
             return []
         get = lam.__getitem__
-        tops = tuple([tuple(sorted(map(get, index), reverse=True)) for index in self._index])
-        key = (tops, lo, hi)
-        found = self._rows.get(key)
-        if found is None:
-            per_block = [self.block_choices(top, lo, hi) for top in tops]
-            mus = sorted(_place(self.levi, combo) for combo in product(*per_block))
-            found = self._rows[key] = [self.mu_row(mu) for mu in mus]
-        return found
+        tops = [tuple(sorted(map(get, index), reverse=True)) for index in self._index]
+        return self.class_rows([self.block_choices(top, lo, hi) for top in tops])
 
     def mu_row(self, mu: Vec) -> tuple:
-        """(mu, dom_g(mu), f_val(mu), g(mu)); f_val is called at most once per mu.
+        """(mu, dom_g(mu), f_val(mu), g(mu)).
 
         g(mu) = <mu, 2rho_M> - <dom_g(mu), 2rho> is the mu side of the
         second arrangement of the bound: by bilinearity,
@@ -300,29 +332,21 @@ class _LeviKernel:
         with r2(lam) = <lam, 2rho> - <lam, 2rho_M>.  Neither side reads
         f_val or the gap, so a rebound f_val still shows as a mismatch.
         """
-        found = self._mu_rows.get(mu)
-        if found is None:
-            mu_dom = dom_g(mu)
-            g = pairing(mu, self.rho_m) - pairing(mu_dom, self.rho)
-            found = self._mu_rows[mu] = (mu, mu_dom, f_val(mu, self.levi), g)
-        return found
+        mu_dom = dom_g(mu)
+        g = pairing(mu, self.rho_m) - pairing(mu_dom, self.rho)
+        return mu, mu_dom, f_val(mu, self.levi), g
 
-    def kept(self, lam: Vec, lo: int, hi: int) -> list[tuple[dict, bool]]:
-        """The witness list of lam over the range [lo, hi].
+    def witnesses(self, lam: Vec, rhs: int, r2: int, rows: list[tuple]) -> list[tuple[dict, bool]]:
+        """The witness list of lam over its class rows, sorted by mu.
 
-        It holds (witness, ok) for each candidate mu, in sorted order, that
-        has a witness; a mu without one adds nothing to any report.  A mu
-        has a witness exactly when it reaches the bound, breaks the second
+        rhs = <lam, 2rho - 2rho_M> is the bound and r2(lam) the lam side of
+        its second arrangement.  The list holds (witness, ok) for each row
+        that has a witness; a mu without one adds nothing to any report.  A
+        mu has a witness exactly when it reaches the bound, breaks the second
         arrangement, or is the blockwise reversal that the converse names,
-        so every other row costs three integer comparisons, and a lam with
-        no candidates costs no pairing.
+        so every other row costs three integer comparisons.
         """
-        rows = self.rows(lam, lo, hi)
-        if not rows:
-            return []
         levi = self.levi
-        rhs = pairing(lam, self.rho_gap)
-        r2 = pairing(lam, self.rho) - pairing(lam, self.rho_m)
         antidominant = weakly_increasing(lam)
         # only an antidominant lam has an expected configuration or a converse
         reversed_m, reversed_g = (w0_m(lam, levi), w0_g(lam)) if antidominant else (None, None)
@@ -348,46 +372,137 @@ class _LeviKernel:
                 found["lam_antidominant_g"] = antidominant
                 found["lam_antidominant_m"] = is_dominant_m(tuple(-x for x in lam), levi)
                 out.append((found, expected or not self.antistandard))
+        if len(out) > 1:
+            out.sort(key=lambda item: item[0]["mu"])
         return out
 
-    def report(self, kept: list[tuple[dict, bool]], nu: Vec) -> dict:
-        """verify_inequality's report at nu: the kept witnesses whose mu is below nu.
-
-        Each report gets its own witness dicts.
-        """
-        below = [(found, ok) for found, ok in kept if leq_g(found["mu_dom"], nu)]
+    def report(self, below: list[tuple[dict, bool]]) -> dict:
+        """verify_inequality's report from the witnesses at nu; it gets its own witness dicts."""
         return {
             "holds": all(ok for _, ok in below),
             "antistandard": self.antistandard,
             "witnesses": [dict(found) for found, _ in below],
         }
 
+    def classes(self, lam_bound: int, lo: int, hi: int):
+        """Every dom_m class of the lam box [-lam_bound, lam_bound]^n, with what the sweep reads of it.
+
+        A class is a product of one decreasing tuple per block, and its lams
+        are the products of its blocks' orderings.  Both lam sides of the
+        bound, rhs and r2, are bilinear, so each ordering carries its part
+        of each, from pairing at its values padded with zeros, and a lam's
+        sides are the sums of its blocks' parts.  Each class comes as (tops,
+        orderings, block choices, sum, lam count, smallest rhs, smallest r2);
+        each block's orderings are (values, part of rhs, part of r2), the
+        weakly increasing one first.  A class with an entry outside [lo, hi]
+        has no candidates, so it comes with its sum and lam count alone.
+        """
+        n = self.levi.n
+        shapes: dict[int, list] = {}  # each block length's decreasing tuples, with their orderings
+        classes = iter([((), (), [], 0, 1, 0, 0)])
+        for index in self._index:
+            records = []
+            if len(index) not in shapes:
+                tops = _decreasing_tuples(len(index), -lam_bound, lam_bound)
+                shapes[len(index)] = [(top, list(_orderings(top))) for top in tops]
+            for top, orderings in shapes[len(index)]:
+                if top[-1] < lo or hi < top[0]:
+                    records.append((None, None, None, sum(top), len(orderings), 0, 0))
+                    continue
+                rhs_parts = []
+                r2_parts = []
+                for values in orderings:
+                    padded = [0] * n
+                    for pos, val in zip(index, values):
+                        padded[pos] = val
+                    padded = tuple(padded)
+                    rhs_parts.append(pairing(padded, self.rho_gap))
+                    r2_parts.append(pairing(padded, self.rho) - pairing(padded, self.rho_m))
+                sided = list(zip(orderings, rhs_parts, r2_parts))
+                choice = [self.block_choices(top, lo, hi)]
+                records.append((top, sided, choice, sum(top), len(sided), min(rhs_parts), min(r2_parts)))
+            classes = _extended(classes, records)
+        return classes
+
+    def sweep(self, lam_bound: int, nu_bound: int, first: int, step: int) -> tuple[int, list, list]:
+        """The bound at every lam in [-lam_bound, lam_bound]^n and every dominant nu of its sum
+        in [-nu_bound, nu_bound]^n, over the classes first, first + step, ... in classes order.
+
+        Returns (pairs checked, equalities, failures).  A row has no witness
+        when f < rhs, g <= r2 and mu is not the mu_star of the converse, so
+        a lam whose rhs exceeds the largest f of its class rows and whose r2
+        is at least their largest g can only fail the converse, which names
+        an antidominant lam alone.  Every other lam is judged over its class
+        rows.  When the smallest parts already clear both maxima, no lam of
+        the class is judged but its antidominant one, if it has one.
+        """
+        levi = self.levi
+        lo, hi = -nu_bound, nu_bound
+        nus_by_sum: dict[int, list[Vec]] = {}
+        # each antidominant lam with candidates, keyed by its class: its values in each block, read backwards
+        antidominant = {}
+        if self.antistandard:
+            for top in _decreasing_tuples(levi.n, max(lo, -lam_bound), min(hi, lam_bound)):
+                lam = top[::-1]
+                antidominant[tuple([tuple([lam[p] for p in reversed(index)]) for index in self._index])] = lam
+        total = 0
+        equalities = []
+        failures = []
+        classes = islice(self.classes(lam_bound, lo, hi), first, None, step)
+        for tops, orderings, choices, s, size, least_rhs, least_r2 in classes:
+            nus = nus_by_sum.get(s)
+            if nus is None:
+                nus = nus_by_sum[s] = list(_fixed_sum_tuples(levi.n, lo, hi, s))
+            total += size * len(nus)
+            if choices is None:
+                continue  # no candidates: each pair holds with no witness
+            rows = self.class_rows(choices)
+            max_f = max([row[2] for row in rows])
+            max_g = max([row[3] for row in rows])
+            judged = []
+            if not (least_rhs > max_f and least_r2 >= max_g):
+                for member in product(*orderings):
+                    rhs = sum([entry[1] for entry in member])
+                    r2 = sum([entry[2] for entry in member])
+                    if rhs <= max_f or r2 < max_g:
+                        judged.append((_place(levi, [entry[0] for entry in member]), rhs, r2))
+            lam = antidominant.get(tops)
+            if lam is not None:
+                # its blocks' first orderings; judged above unless it clears both maxima
+                rhs = sum([ords[0][1] for ords in orderings])
+                r2 = sum([ords[0][2] for ords in orderings])
+                if rhs > max_f and r2 >= max_g:
+                    judged.append((lam, rhs, r2))
+            for lam, rhs, r2 in judged:
+                kept = self.witnesses(lam, rhs, r2, rows)
+                # an empty witness list holds at every nu and reports nothing
+                for nu in nus if kept else ():
+                    below = _below(kept, nu)
+                    for found, _ in below:
+                        if found["kind"] == "equality":
+                            equalities.append((lam, nu, found["mu"], found["mu_dom"], found["f"], rhs))
+                    if not all(ok for _, ok in below):
+                        failures.append((lam, nu, self.report(below)))
+        return total, equalities, failures
+
+
+def _extended(classes, records):
+    """Each class extended by each record of one more block, as _LeviKernel.classes lists them."""
+    for tops, ords, choices, s, size, rhs, r2 in classes:
+        for top, orderings, choice, t, count, least_rhs, least_r2 in records:
+            if choices is None or choice is None:
+                yield None, None, None, s + t, size * count, 0, 0
+            else:
+                yield (
+                    tops + (top,), ords + (orderings,), choices + choice,
+                    s + t, size * count, rhs + least_rhs, r2 + least_r2,
+                )
+
 
 def _sweep_chunk(payload) -> tuple[bool, int, list, list]:
-    n, blocks, lams, nu_bound = payload
+    n, blocks, lam_bound, nu_bound, first, step = payload
     kernel = _LeviKernel(BlockLevi(n, blocks))
-    nus_by_sum: dict[int, list[Vec]] = {}
-    total = 0
-    equalities = []
-    failures = []
-    for lam in lams:
-        s = sum(lam)
-        nus = nus_by_sum.get(s)
-        if nus is None:
-            nus = nus_by_sum[s] = list(_fixed_sum_tuples(n, -nu_bound, nu_bound, s))
-        total += len(nus)
-        kept = kernel.kept(lam, -nu_bound, nu_bound)
-        # an empty witness list holds at every nu and reports nothing
-        for nu in nus if kept else ():
-            report = kernel.report(kept, nu)
-            for w in report["witnesses"]:
-                if w["kind"] == "equality":
-                    equalities.append(
-                        (lam, nu, w["mu"], w["mu_dom"], w["f"], w["rhs"])
-                    )
-            if not report["holds"]:
-                failures.append((lam, nu, report))
-    return kernel.antistandard, total, equalities, failures
+    return (kernel.antistandard, *kernel.sweep(lam_bound, nu_bound, first, step))
 
 
 def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int = 1) -> dict:
@@ -395,8 +510,8 @@ def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int =
 
     Returns whether the Levi is antistandard, totals, every equality witness
     (lam, nu, mu, mu_dom, f, rhs) in canonical order, and any failures.  Each
-    chunk of lam builds its own kernel.  jobs is clamped to the CPU count and
-    to the number of lam, so no worker process is started idle.
+    chunk of dom_m classes builds its own kernel.  jobs is clamped to the CPU
+    count and to the number of classes, so no worker process is started idle.
     """
     (res,) = sweep_levis([levi], lam_bound, nu_bound, jobs)
     return res
@@ -407,13 +522,15 @@ def sweep_levis(levis, lam_bound: int, nu_bound: int, jobs: int = 1):
 
     The reports come one at a time, in the order of levis, so a caller that
     stops at the first failing Levi sweeps no further.  jobs is clamped to the
-    CPU count and to the lam count of the largest Levi, and each Levi splits
-    its lam into that many chunks (a smaller Levi may leave some empty).  With
-    one job no pool is started.
+    CPU count and to the dom_m class count of the largest Levi, and each Levi
+    splits its classes into that many strides (a smaller Levi may leave some
+    empty).  With one job no pool is started.
     """
     levis = list(levis)
-    most_lams = max(((2 * lam_bound + 1) ** levi.n for levi in levis), default=0)
-    jobs = min(jobs, os.cpu_count() or 1, most_lams)
+    if jobs > 1:
+        # a class is a multiset of 2 * lam_bound + 1 values per block
+        classes = [prod(comb(len(b) + 2 * lam_bound, len(b)) for b in levi.blocks) for levi in levis]
+        jobs = min(jobs, os.cpu_count() or 1, max(classes, default=0))
     if jobs <= 1:
         for levi in levis:
             yield _merge(levi, list(map(_sweep_chunk, _chunks(levi, lam_bound, nu_bound, 1))))
@@ -426,9 +543,8 @@ def sweep_levis(levis, lam_bound: int, nu_bound: int, jobs: int = 1):
 
 
 def _chunks(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int) -> list[tuple]:
-    """The sweep of one Levi split into jobs _sweep_chunk payloads, one per stride of lam."""
-    lams = list(product(range(-lam_bound, lam_bound + 1), repeat=levi.n))
-    return [(levi.n, levi.blocks, lams[k::jobs], nu_bound) for k in range(jobs)]
+    """The sweep of one Levi split into jobs _sweep_chunk payloads, one per stride of its classes."""
+    return [(levi.n, levi.blocks, lam_bound, nu_bound, k, jobs) for k in range(jobs)]
 
 
 def _merge(levi: BlockLevi, parts) -> dict:

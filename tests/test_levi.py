@@ -180,6 +180,122 @@ def oracle_sweep(levi, lam_bound, nu_bound):
     }
 
 
+def lam_major_sweep(levi, lam_bound, nu_bound):
+    """The sweep one lam at a time, as it ran before the class loop: a second slow oracle.
+
+    Each lam looks up the rows of its dom_m class (cached on the block-sorted
+    lam, in sorted mu order), pays three pairings for its two sides of the
+    bound, and walks every row; each report copies its witness dicts.  It
+    reaches sizes where oracle_sweep, one (lam, nu) at a time, is too slow.
+    """
+    n = levi.n
+    rho, rho_m = lv.two_rho(n), lv.two_rho_levi(levi)
+    rho_gap = tuple(a - b for a, b in zip(rho, rho_m))
+    antistandard = lv.is_antistandard(levi)
+    lo, hi = -nu_bound, nu_bound
+    class_rows, mu_rows = {}, {}
+
+    def rows(lam):
+        if min(lam) < lo or hi < max(lam):
+            return []
+        tops = tuple(tuple(sorted((lam[p - 1] for p in block), reverse=True)) for block in levi.blocks)
+        if tops not in class_rows:
+            per_block = [
+                [c for c in lv._fixed_sum_tuples(len(top), lo, hi, sum(top)) if lv.leq_g(top, c)] for top in tops
+            ]
+            found = []
+            for mu in sorted(lv._place(levi, combo) for combo in product(*per_block)):
+                if mu not in mu_rows:
+                    mu_dom = lv.dom_g(mu)
+                    g = lv.pairing(mu, rho_m) - lv.pairing(mu_dom, rho)
+                    mu_rows[mu] = (mu, mu_dom, lv.f_val(mu, levi), g)
+                found.append(mu_rows[mu])
+            class_rows[tops] = found
+        return class_rows[tops]
+
+    def kept(lam):
+        found_rows = rows(lam)
+        if not found_rows:
+            return []
+        rhs = lv.pairing(lam, rho_gap)
+        r2 = lv.pairing(lam, rho) - lv.pairing(lam, rho_m)
+        antidominant = lv.weakly_increasing(lam)
+        reversed_m, reversed_g = (lv.w0_m(lam, levi), lv.w0_g(lam)) if antidominant else (None, None)
+        mu_star = reversed_m if antistandard else None
+        out = []
+        for mu, mu_dom, value, g in found_rows:
+            if value < rhs and g <= r2 and mu != mu_star:
+                continue
+            first, second = value <= rhs, g <= r2
+            found = {"mu": mu, "mu_dom": mu_dom, "f": value, "rhs": rhs}
+            if not (first and second):
+                found["kind"] = "mismatch" if first != second else "violation"
+                out.append((found, False))
+            elif mu == mu_star and value != rhs:
+                found["kind"] = "converse"
+                out.append((found, False))
+            else:
+                expected = antidominant and mu == reversed_m and mu_dom == reversed_g
+                found["kind"] = "equality"
+                found["expected_configuration"] = expected
+                found["lam_antidominant_g"] = antidominant
+                found["lam_antidominant_m"] = lv.is_dominant_m(tuple(-x for x in lam), levi)
+                out.append((found, expected or not antistandard))
+        return out
+
+    total = 0
+    equalities = []
+    failures = []
+    for lam in product(range(-lam_bound, lam_bound + 1), repeat=n):
+        nus = list(lv._fixed_sum_tuples(n, lo, hi, sum(lam)))
+        total += len(nus)
+        witnesses = kept(lam)
+        for nu in nus if witnesses else ():
+            below = [(found, ok) for found, ok in witnesses if lv.leq_g(found["mu_dom"], nu)]
+            report = {
+                "holds": all(ok for _, ok in below),
+                "antistandard": antistandard,
+                "witnesses": [dict(found) for found, _ in below],
+            }
+            for w in report["witnesses"]:
+                if w["kind"] == "equality":
+                    equalities.append((lam, nu, w["mu"], w["mu_dom"], w["f"], w["rhs"]))
+            if not report["holds"]:
+                failures.append((lam, nu, report))
+    failures.sort(key=lambda item: (item[0], item[1]))
+    return {
+        "levi": str(levi),
+        "antistandard": antistandard,
+        "pairs_checked": total,
+        "equalities": sorted(equalities),
+        "failures": failures,
+        "holds": not failures,
+    }
+
+
+def sweep_on_two_workers(monkeypatch, levi, lam_bound, nu_bound):
+    """sweep_inequality with --jobs 2 on an in-process stand-in for the worker pool."""
+    import multiprocessing
+
+    class InlinePool:
+        def __init__(self, processes):
+            assert processes == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            # each payload is pickled, as it would be on its way to a worker
+            return [fn(pickle.loads(pickle.dumps(item))) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(lv.os, "cpu_count", lambda: 2)
+    return lv.sweep_inequality(levi, lam_bound, nu_bound, jobs=2)
+
+
 def test_block_levi_validation():
     with pytest.raises(ValueError):
         lv.BlockLevi(3, [(1, 2)])
@@ -386,8 +502,8 @@ def test_sweep_jobs_clamped(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     for cpus, levi, jobs, pools in [
-        (4, INTER4, 1000, [4]),  # 81 lams: the CPU count binds
-        (64, TORUS2, 1000, [9]),  # 9 lams: their number binds
+        (4, INTER4, 1000, [4]),  # 36 dom_m classes: the CPU count binds
+        (64, TORUS2, 1000, [9]),  # 9 classes: their number binds
         (None, INTER4, 8, []),  # unknown CPU count: one process, no pool
     ]:
         serial = lv.sweep_inequality(levi, 1, 1, jobs=1)
@@ -527,3 +643,77 @@ def test_class_split_matches_literal_arrangement(monkeypatch):
         assert res == oracle_sweep(levi, 1, 1), str(levi)
         kinds |= {w["kind"] for _, _, report in res["failures"] for w in report["witnesses"]}
     assert kinds == {"violation", "converse"}
+
+
+def test_sweep_matches_lam_major_oracle():
+    # every antistandard Levi of rank <= 5 at three (lam_bound, nu_bound), where
+    # the literal oracle would take minutes
+    levis = [levi for n in range(1, 6) for levi in lv.antistandard_levis(n)]
+    cases = [(levi, lb, nb) for levi in levis for lb, nb in ((1, 1), (2, 1), (1, 2))]
+    # Levis that are not antistandard, where one dom_m class holds up to 24 lams
+    cases += [(lv.parse_blocks(4, blocks), 2, 2) for blocks in ("[[1,2,3,4]]", "[[1,2,3],[4]]", "[[1,2,4],[3]]")]
+    for levi, lam_bound, nu_bound in cases:
+        assert lv.sweep_inequality(levi, lam_bound, nu_bound) == lam_major_sweep(levi, lam_bound, nu_bound), (
+            str(levi), lam_bound, nu_bound,
+        )
+
+
+def class_members(lam, levi):
+    return set(weyl_orbit_m(lam, levi))
+
+
+def test_class_shortcuts_keep_a_raised_f_val(monkeypatch):
+    # f far above the bound at one mu whose dom_m class holds several lams: every
+    # lam with that mu among its candidates, the whole class of mu included, fails
+    real_f = lv.f_val
+    for levi, mu in [(INTER4, (1, 0, -1, 0)), (lv.parse_blocks(4, "[[1,2,3],[4]]"), (1, 0, -1, 0))]:
+        assert len(class_members(mu, levi)) > 1
+        monkeypatch.setattr(lv, "f_val", lambda m, lev, mu=mu: real_f(m, lev) + (100 if m == mu else 0))
+        res = lv.sweep_inequality(levi, 1, 1)
+        assert res == oracle_sweep(levi, 1, 1), str(levi)
+        failing = {lam for lam, _, _ in res["failures"]}
+        assert class_members(mu, levi) <= failing
+        kinds = {w["kind"] for _, _, report in res["failures"] for w in report["witnesses"]}
+        assert kinds - {"equality"} == {"mismatch"}
+        assert sweep_on_two_workers(monkeypatch, levi, 1, 1) == res
+        monkeypatch.setattr(lv, "f_val", real_f)
+
+
+def test_class_shortcuts_keep_the_converse(monkeypatch):
+    # f one below: no bound is attained, so the only failures are converses at
+    # antidominant lams; each of them sits in a class whose every lam clears the
+    # largest f and g of its rows, so only the class's antidominant lam is judged
+    real_f = lv.f_val
+    monkeypatch.setattr(lv, "f_val", lambda mu, levi: real_f(mu, levi) - 1)
+    for levi in (INTER4, lv.parse_blocks(5, "[[1,3,5],[2,4]]")):
+        res = lv.sweep_inequality(levi, 1, 1)
+        assert res == oracle_sweep(levi, 1, 1), str(levi)
+        assert res["failures"] and not res["equalities"]
+        kinds = {w["kind"] for _, _, report in res["failures"] for w in report["witnesses"]}
+        assert kinds == {"converse"}
+        rho, rho_m = lv.two_rho(levi.n), lv.two_rho_levi(levi)
+        skipped = 0
+        for lam in {lam for lam, _, _ in res["failures"]}:
+            assert lv.weakly_increasing(lam)
+            members = class_members(lam, levi)
+            nus = [nu for nu in decreasing_tuples(levi.n, -1, 1) if sum(nu) == sum(lam)]
+            rows = {mu for nu in nus for mu in oracle_j_set(lam, nu, levi)}
+            max_f = max(lv.f_val(mu, levi) for mu in rows)
+            max_g = max(lv.pairing(mu, rho_m) - lv.pairing(lv.dom_g(mu), rho) for mu in rows)
+            gap = [a - b for a, b in zip(rho, rho_m)]
+            sides = [(lv.pairing(m, gap), lv.pairing(m, rho) - lv.pairing(m, rho_m)) for m in members]
+            if all(rhs > max_f and r2 >= max_g for rhs, r2 in sides):
+                skipped += len(members) > 1
+        assert skipped
+        assert sweep_on_two_workers(monkeypatch, levi, 1, 1) == res
+
+
+def test_levi_criterion_counts_antistandard_levis(monkeypatch):
+    from flagstrata import checks
+
+    run = {check.name: check.run for check in checks.CHECKS}["levi-pairing-gap-bound"]
+    assert run(checks.DEFAULT_BOUNDS, 1) is None
+    # admit the full Levi of GL_3, which holds 1, 2 and 3 in one block
+    real = lv.is_antistandard
+    monkeypatch.setattr(lv, "is_antistandard", lambda levi: real(levi) or levi == full_levi(3))
+    assert run(checks.DEFAULT_BOUNDS, 1) == ("antistandard-count", 3, 3, 2)

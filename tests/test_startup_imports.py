@@ -2,9 +2,10 @@
 
 Every CLI call starts a fresh interpreter, so each module imported at start
 is paid for on every call.  None of UNUSED is needed by a passing run:
-`fractions` only when a value turns out not to be an integer, and the others
-not at all.  The probe runs in a `python -S` process, where `site` preloads
-nothing, so the import set is the package's own, and it must still hold
+`fractions` only when a value turns out not to be an integer, `json` only
+for JSON output or a Levi's block list, and the others not at all.  The
+probe runs in a `python -S` process, where `site` preloads nothing, so the
+import set is the package's own, and it must still hold
 after passing calls, so no import cost moved into a call.  Run as a script
 this file is the probe, and exits 0 when the import set holds:
 
@@ -15,7 +16,7 @@ import os
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-UNUSED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+UNUSED = ("dataclasses", "inspect", "typing", "fractions", "decimal", "json")
 # passing calls that reach every module, and the integer-only exact arithmetic
 CALLS = (["--jobs", "1", "selftest"], ["fibermass", "6", "6"])
 
