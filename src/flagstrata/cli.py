@@ -192,7 +192,7 @@ def cmd_levi(args, bounds):
         raise ConfigError(str(exc)) from exc
     if args.lam_bound < 0 or args.nu_bound < 0:
         raise ConfigError("bounds must be >= 0")
-    res = lv.sweep_inequality(levi, args.lam_bound, args.nu_bound, jobs=args.jobs)
+    res = lv.sweep_inequality(levi, args.lam_bound, args.nu_bound)
     rows = [
         (
             str(levi),
@@ -264,7 +264,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the big sweeps (default: 1)",
+        help="worker processes for the selftest Levi criterion (default: 1)",
     )
     parser.add_argument(
         "--bound",

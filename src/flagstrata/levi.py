@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from functools import lru_cache
-from itertools import islice, product
-from math import comb, prod
+from functools import lru_cache, partial
+from itertools import product
 from operator import ge
 
 from .coweights import pairing, weakly_decreasing, weakly_increasing
@@ -266,7 +265,7 @@ class _LeviKernel:
     class, the block-sorted lam, and a class's rows are
     (mu, dom_g(mu), f(mu), g(mu)), one per candidate mu, built from per-block
     choices cached on (block values, lo, hi) and from one row per mu.  A
-    kernel lives for one sweep chunk or one public call, so nothing is kept
+    kernel lives for one sweep or one public call, so nothing is kept
     across sweeps.  It calls f_val and pairing through the module globals:
     a rebound f_val or pairing takes effect from the next sweep on.
     """
@@ -424,9 +423,9 @@ class _LeviKernel:
             classes = _extended(classes, records)
         return classes
 
-    def sweep(self, lam_bound: int, nu_bound: int, first: int, step: int) -> tuple[int, list, list]:
+    def sweep(self, lam_bound: int, nu_bound: int) -> tuple[int, list, list]:
         """The bound at every lam in [-lam_bound, lam_bound]^n and every dominant nu of its sum
-        in [-nu_bound, nu_bound]^n, over the classes first, first + step, ... in classes order.
+        in [-nu_bound, nu_bound]^n, over every class in classes order.
 
         Returns (pairs checked, equalities, failures).  A row has no witness
         when f < rhs, g <= r2 and mu is not the mu_star of the converse, so
@@ -448,8 +447,7 @@ class _LeviKernel:
         total = 0
         equalities = []
         failures = []
-        classes = islice(self.classes(lam_bound, lo, hi), first, None, step)
-        for tops, orderings, choices, s, size, least_rhs, least_r2 in classes:
+        for tops, orderings, choices, s, size, least_rhs, least_r2 in self.classes(lam_bound, lo, hi):
             nus = nus_by_sum.get(s)
             if nus is None:
                 nus = nus_by_sum[s] = list(_fixed_sum_tuples(levi.n, lo, hi, s))
@@ -499,62 +497,41 @@ def _extended(classes, records):
                 )
 
 
-def _sweep_chunk(payload) -> tuple[bool, int, list, list]:
-    n, blocks, lam_bound, nu_bound, first, step = payload
-    kernel = _LeviKernel(BlockLevi(n, blocks))
-    return (kernel.antistandard, *kernel.sweep(lam_bound, nu_bound, first, step))
-
-
-def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int = 1) -> dict:
+def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int) -> dict:
     """Exhaustive check of the bound for all lam, dominant nu within the box.
 
     Returns whether the Levi is antistandard, totals, every equality witness
-    (lam, nu, mu, mu_dom, f, rhs) in canonical order, and any failures.  Each
-    chunk of dom_m classes builds its own kernel.  jobs is clamped to the CPU
-    count and to the number of classes, so no worker process is started idle.
+    (lam, nu, mu, mu_dom, f, rhs) in canonical order, and any failures.  It
+    runs in the calling process, on one kernel.
     """
-    (res,) = sweep_levis([levi], lam_bound, nu_bound, jobs)
-    return res
+    kernel = _LeviKernel(levi)
+    total, equalities, failures = kernel.sweep(lam_bound, nu_bound)
+    failures.sort(key=lambda item: (item[0], item[1]))
+    return {
+        "levi": str(levi),
+        "antistandard": kernel.antistandard,
+        "pairs_checked": total,
+        "equalities": sorted(equalities),
+        "failures": failures,
+        "holds": not failures,
+    }
 
 
 def sweep_levis(levis, lam_bound: int, nu_bound: int, jobs: int = 1):
     """sweep_inequality for each Levi in turn, all on at most one worker pool.
 
     The reports come one at a time, in the order of levis, so a caller that
-    stops at the first failing Levi sweeps no further.  jobs is clamped to the
-    CPU count and to the dom_m class count of the largest Levi, and each Levi
-    splits its classes into that many strides (a smaller Levi may leave some
-    empty).  With one job no pool is started.
+    stops at the first failing Levi sweeps no further.  Each Levi is one task.
+    jobs is clamped to the CPU count and to the number of Levis, so no worker
+    process is started idle; with one job no pool is started.
     """
     levis = list(levis)
-    if jobs > 1:
-        # a class is a multiset of 2 * lam_bound + 1 values per block
-        classes = [prod(comb(len(b) + 2 * lam_bound, len(b)) for b in levi.blocks) for levi in levis]
-        jobs = min(jobs, os.cpu_count() or 1, max(classes, default=0))
+    sweep = partial(sweep_inequality, lam_bound=lam_bound, nu_bound=nu_bound)
+    jobs = min(jobs, os.cpu_count() or 1, len(levis))
     if jobs <= 1:
-        for levi in levis:
-            yield _merge(levi, list(map(_sweep_chunk, _chunks(levi, lam_bound, nu_bound, 1))))
+        yield from map(sweep, levis)
         return
     from multiprocessing import Pool
 
     with Pool(jobs) as pool:
-        for levi in levis:
-            yield _merge(levi, pool.map(_sweep_chunk, _chunks(levi, lam_bound, nu_bound, jobs)))
-
-
-def _chunks(levi: BlockLevi, lam_bound: int, nu_bound: int, jobs: int) -> list[tuple]:
-    """The sweep of one Levi split into jobs _sweep_chunk payloads, one per stride of its classes."""
-    return [(levi.n, levi.blocks, lam_bound, nu_bound, k, jobs) for k in range(jobs)]
-
-
-def _merge(levi: BlockLevi, parts) -> dict:
-    """One Levi's report from the results of its chunks, whatever the split."""
-    failures = sorted((f for p in parts for f in p[3]), key=lambda item: (item[0], item[1]))
-    return {
-        "levi": str(levi),
-        "antistandard": parts[0][0],
-        "pairs_checked": sum(p[1] for p in parts),
-        "equalities": sorted(e for p in parts for e in p[2]),
-        "failures": failures,
-        "holds": not failures,
-    }
+        yield from pool.imap(sweep, levis)

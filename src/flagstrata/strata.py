@@ -116,7 +116,9 @@ def _matchings(points: tuple[int, ...], pairs: int, allowed=None):
 
     The smallest free point either stays fixed, while fixed points remain to
     be placed, or pairs with a later free point b such that allowed(a, b).
-    Yields each splitting once, as its tuple of pairs (a, b) with a < b.
+    Yields each splitting once, as its tuple of pairs (a, b) with a < b, in
+    increasing order of the involution it makes: the smallest free point is
+    fixed before it is paired, and paired with later points in increasing order.
     """
     if not points:
         yield ()
@@ -137,8 +139,7 @@ def enumerate_pairings(d: int, dp: int) -> tuple[Involution, ...]:
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
     n = d + dp
-    pairings = (Involution.from_pairs(n, pairs) for pairs in _matchings(tuple(range(1, n + 1)), d))
-    return tuple(sorted(pairings))
+    return tuple(Involution.from_pairs(n, pairs) for pairs in _matchings(tuple(range(1, n + 1)), d))
 
 
 def pairing_count(d: int, dp: int) -> int:
@@ -212,7 +213,7 @@ def strata_involutions(j_set, jp_set, n: int | None = None) -> list[Involution]:
     if not condition_c(lows, highs, n):
         raise ValueError("prefix condition fails for (J, J')")
     matchings = _matchings(tuple(sorted(lows | highs)), len(lows), lambda a, b: a in lows and b in highs)
-    return sorted(Involution.from_pairs(n, pairs) for pairs in matchings)
+    return [Involution.from_pairs(n, pairs) for pairs in matchings]
 
 
 def stratify(d: int, dp: int):

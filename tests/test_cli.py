@@ -92,6 +92,19 @@ def test_levi_command(capsys):
     assert row[0] == "[[1,3],[2,4]]" and row[1] == "True" and row[-1] == "True"
 
 
+def test_levi_command_runs_in_one_process(capsys, monkeypatch):
+    # --jobs serves the selftest Levi criterion only; a single Levi is one task
+    import multiprocessing
+
+    pools = []
+    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: pools.append(processes))
+    monkeypatch.setattr(cli.lv.os, "cpu_count", lambda: 2)
+    argv = ["levi", "4", "[[1,3],[2,4]]", "2", "2"]
+    serial = run(capsys, "--jobs", "1", *argv)
+    assert run(capsys, "--jobs", "2", *argv) == serial
+    assert serial[0] == 0 and pools == []
+
+
 def test_invalid_config_exit_2(capsys):
     assert run(capsys, "orbits", "3", "3", "2")[0] == 2
     assert run(capsys, "orbits", "1", "1", "5")[0] == 2

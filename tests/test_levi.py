@@ -273,8 +273,13 @@ def lam_major_sweep(levi, lam_bound, nu_bound):
     }
 
 
+def roundtrip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
 def sweep_on_two_workers(monkeypatch, levi, lam_bound, nu_bound):
-    """sweep_inequality with --jobs 2 on an in-process stand-in for the worker pool."""
+    """levi's report from sweep_levis with --jobs 2, next to a second Levi, on an
+    in-process stand-in for the worker pool."""
     import multiprocessing
 
     class InlinePool:
@@ -287,13 +292,16 @@ def sweep_on_two_workers(monkeypatch, levi, lam_bound, nu_bound):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            # each payload is pickled, as it would be on its way to a worker
-            return [fn(pickle.loads(pickle.dumps(item))) for item in items]
+        def imap(self, fn, items):
+            # each task and each result is pickled, as on its way to and from a worker
+            for item in items:
+                yield roundtrip(roundtrip(fn)(roundtrip(item)))
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(lv.os, "cpu_count", lambda: 2)
-    return lv.sweep_inequality(levi, lam_bound, nu_bound, jobs=2)
+    first, second = lv.sweep_levis([levi, TORUS2], lam_bound, nu_bound, jobs=2)
+    assert second == lv.sweep_inequality(TORUS2, lam_bound, nu_bound)
+    return first
 
 
 def test_block_levi_validation():
@@ -475,11 +483,11 @@ def test_sweep_holds_small():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = lv.sweep_inequality(INTER4, 1, 1, jobs=1)
-    parallel = lv.sweep_inequality(INTER4, 1, 1, jobs=3)
-    assert serial["pairs_checked"] == parallel["pairs_checked"]
-    assert serial["equalities"] == parallel["equalities"]
-    assert serial["failures"] == parallel["failures"]
+    # a real pool; pickle bytes differ across processes, so compare by value
+    levis = lv.antistandard_levis(4)
+    serial = list(lv.sweep_levis(levis, 1, 1, 1))
+    assert list(lv.sweep_levis(levis, 1, 1, 2)) == serial
+    assert [res["levi"] for res in serial] == [str(levi) for levi in levis]
 
 
 def test_sweep_jobs_clamped(monkeypatch):
@@ -497,23 +505,22 @@ def test_sweep_jobs_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def imap(self, fn, items):
+            return map(fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    for cpus, levi, jobs, pools in [
-        (4, INTER4, 1000, [4]),  # 36 dom_m classes: the CPU count binds
-        (64, TORUS2, 1000, [9]),  # 9 classes: their number binds
-        (None, INTER4, 8, []),  # unknown CPU count: one process, no pool
+    rank4 = lv.antistandard_levis(4)
+    for cpus, levis, jobs, pools in [
+        (4, rank4, 1000, [4]),  # 5 Levis: the CPU count binds
+        (64, rank4, 1000, [5]),  # their number binds
+        (64, [INTER4], 8, []),  # one Levi: one process, no pool
+        (None, rank4, 8, []),  # unknown CPU count: one process, no pool
     ]:
-        serial = lv.sweep_inequality(levi, 1, 1, jobs=1)
+        serial = list(lv.sweep_levis(levis, 1, 1, 1))
         monkeypatch.setattr(lv.os, "cpu_count", lambda: cpus)
         sizes.clear()
-        res = lv.sweep_inequality(levi, 1, 1, jobs=jobs)
+        assert list(lv.sweep_levis(levis, 1, 1, jobs)) == serial
         assert sizes == pools
-        assert res["pairs_checked"] == serial["pairs_checked"]
-        assert res["equalities"] == serial["equalities"]
-        assert res["failures"] == serial["failures"]
 
 
 def test_levi_criterion_opens_one_pool(monkeypatch):
@@ -534,8 +541,8 @@ def test_levi_criterion_opens_one_pool(monkeypatch):
             events.append(("close",))
             return False
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def imap(self, fn, items):
+            return map(fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(lv.os, "cpu_count", lambda: 4)
