@@ -13,8 +13,13 @@ of workload W with seeds S, S + 1, ...  The side that runs first alternates
 from pair to pair and from plan to plan, and the plans are interleaved in
 time: pair i of every plan runs before pair i + 1 of any.  One run at a time.
 
+A run that exits non-zero, times out or ends without a JSON line of metrics is
+recorded as a failure with its exit status (None after a timeout).  Its pair is
+left out of the medians and the claim, the record counts the dropped pairs per
+workload, and the script exits 1.
+
 The record holds every run's end-to-end metrics; per workload and metric,
-each side's median and quartiles over its runs; and, for the claimed
+each side's median and quartiles over the complete pairs; and, for the claimed
 (workload, metric), the pairs the change won (ties count for neither), the
 difference of the medians and the parent's interquartile distance.  Every
 end-to-end metric of the benchmark is better when lower.
@@ -33,6 +38,7 @@ import sys
 import time
 
 SIDES = ("parent", "change")
+RUN_TIMEOUT_S = 600
 
 
 def clear_bytecode(tree: str) -> None:
@@ -49,19 +55,31 @@ def run(tree: str, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     started = time.time()
-    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=600)
+    try:
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:  # run() has killed and reaped the process
+        return {"exit": None, "error": f"timed out after {RUN_TIMEOUT_S} s", "started": started}
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         return {"exit": done.returncode, "error": done.stderr.strip()[-2000:], "started": started}
-    last = json.loads(lines[-1])
-    return {
-        "exit": done.returncode,
-        "started": started,
-        "correct": last["correct"],
-        "attempted": last["attempted"],
-        "failed": last["failed"],
-        "metrics": {name: entry["value"] for name, entry in last["metrics"].items()},
-    }
+    try:
+        last = json.loads(lines[-1])
+        return {
+            "exit": done.returncode,
+            "started": started,
+            "correct": last["correct"],
+            "attempted": last["attempted"],
+            "failed": last["failed"],
+            "metrics": {name: entry["value"] for name, entry in last["metrics"].items()},
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return {"exit": done.returncode, "error": f"malformed last line: {exc!r}: {lines[-1][:2000]}",
+                "started": started}
+
+
+def complete(runs: list[dict]) -> list[dict]:
+    """The pairs whose two runs both reported metrics; a failed run drops its pair."""
+    return [pair for pair in runs if all("metrics" in pair[side] for side in SIDES)]
 
 
 def spread(values: list[float]) -> dict:
@@ -73,12 +91,14 @@ def spread(values: list[float]) -> dict:
 
 
 def summarise(pairs: dict) -> dict:
+    """Per workload and metric, each side's spread over the complete pairs."""
     out = {}
     for workload, runs in pairs.items():
-        names = sorted({name for pair in runs for side in SIDES for name in pair[side].get("metrics", {})})
+        runs = complete(runs)
+        names = sorted({name for pair in runs for side in SIDES for name in pair[side]["metrics"]})
         out[workload] = {
             name: {
-                side: spread([pair[side]["metrics"][name] for pair in runs if name in pair[side].get("metrics", {})])
+                side: spread([pair[side]["metrics"][name] for pair in runs if name in pair[side]["metrics"]])
                 for side in SIDES
             }
             for name in names
@@ -87,21 +107,24 @@ def summarise(pairs: dict) -> dict:
 
 
 def claim_check(pairs: dict, medians: dict, workload: str, metric: str) -> dict:
-    runs = pairs[workload]
+    runs = complete(pairs[workload])
     values = [(p["parent"]["metrics"][metric], p["change"]["metrics"][metric]) for p in runs]
-    parent, change = medians[workload][metric]["parent"], medians[workload][metric]["change"]
+    empty = {"median": None, "q1": None}  # every pair dropped: no medians to compare
+    parent, change = (medians[workload][metric][side] if values else empty for side in SIDES)
     iqr = parent["q3"] - parent["q1"] if parent["q1"] is not None else None
+    gain = parent["median"] - change["median"] if values else None
     return {
         "workload": workload,
         "metric": metric,
         "pairs": len(values),
+        "dropped_pairs": len(pairs[workload]) - len(values),
         "change_wins": sum(c < p for p, c in values),
         "parent_wins": sum(p < c for p, c in values),
         "median_parent": parent["median"],
         "median_change": change["median"],
-        "median_gain": parent["median"] - change["median"],
+        "median_gain": gain,
         "parent_iqr": iqr,
-        "gain_exceeds_parent_iqr": iqr is not None and parent["median"] - change["median"] > iqr,
+        "gain_exceeds_parent_iqr": iqr is not None and gain > iqr,
     }
 
 
@@ -146,6 +169,7 @@ def main(argv=None) -> int:
         },
         "plans": [{"workload": w, "pairs": c, "first_seed": s} for w, c, s in plans],
         "medians": medians,
+        "dropped_pairs": {workload: len(runs) - len(complete(runs)) for workload, runs in pairs.items()},
         "pairs": pairs,
     }
     if args.claim:
@@ -154,8 +178,9 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
-    failed = [p for runs in pairs.values() for p in runs for side in SIDES if p[side]["exit"] != 0]
-    return 1 if failed else 0
+    dropped = record["dropped_pairs"]
+    print(f"pairs dropped for a failed run: {dropped}", file=sys.stderr)
+    return 1 if any(dropped.values()) else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """The acceptance battery: one ordered registry of the paper's exact criteria.
 
 Each entry holds a name, a runtime budget in seconds at DEFAULT_BOUNDS, and a
-sweep run(bounds, jobs).  A sweep returns None when every cell passes, else
+sweep run(bounds).  A sweep returns None when every cell passes, else
 the loop values of the first failing cell.  `flagstrata selftest` and
 tests/test_acceptance.py both iterate CHECKS, so they run the same battery.
 
@@ -13,7 +13,6 @@ one verdict; the sweep only loops and names the first failing cell.
 from __future__ import annotations
 
 from collections import namedtuple
-from contextlib import closing
 from math import comb
 
 from . import coweights as cw
@@ -57,7 +56,7 @@ POSITIVE_BOUNDS = ("schur_n", "invariants_r", "levi_rank", "identity_n")
 Check = namedtuple("Check", "name budget run")
 
 
-def _schur_sweep(bounds, jobs):
+def _schur_sweep(bounds):
     for n in range(1, bounds["schur_n"] + 1):
         for d in range(bounds["schur_d"] + 1):
             for dp in range(d, bounds["schur_d"] + 1):
@@ -66,7 +65,7 @@ def _schur_sweep(bounds, jobs):
     return None
 
 
-def _margin_sweep(bounds, jobs):
+def _margin_sweep(bounds):
     """Each flagdim row's verdict, and margin = -(drop of the special transposition chain)."""
     for mu, mup, _, margin, _, ok in fc.fiber_mass_table(bounds["margin_size"]):
         _, _, gap = cw.special_transposition_chain(cw.interleave(mu, mup, max(len(mu), len(mup), 1)))
@@ -75,7 +74,7 @@ def _margin_sweep(bounds, jobs):
     return None
 
 
-def _brute_count_sweep(bounds, jobs):
+def _brute_count_sweep(bounds):
     """Both polynomials against brute force, and their degrees against the dimension formulas."""
     for size in range(bounds["brute_flag_size"] + 1):
         for mu in cw.partitions(size):
@@ -95,7 +94,7 @@ def _brute_count_sweep(bounds, jobs):
     return None
 
 
-def _mass_sweep(bounds, jobs):
+def _mass_sweep(bounds):
     for d in range(bounds["mass_d"] + 1):
         for dp in range(d, bounds["mass_d"] + 1):
             try:
@@ -106,14 +105,14 @@ def _mass_sweep(bounds, jobs):
     return None
 
 
-def _strata_vectors(bounds, jobs):
+def _strata_vectors(bounds):
     want = {((1, 2), (3, 4)): ["(1 3)(2 4)", "(1 4)(2 3)"], ((1, 3), (2, 4)): ["(1 2)(3 4)"]}
     c_pairs, _ = st.stratify(2, 2)
     got = {(j, jp): sorted(w.cycle_notation() for w in ws) for j, jp, disjoint, ws in c_pairs if disjoint}
     return None if got == want else (2, 2)
 
 
-def _induced_sweep(bounds, jobs):
+def _induced_sweep(bounds):
     """Pairing count, the strata cover of the pairings, the induced model, invariants."""
     for total in range(bounds["induced_total"] + 1):
         for d in range(total // 2 + 1):
@@ -134,7 +133,7 @@ def _induced_sweep(bounds, jobs):
     return None
 
 
-def _orbit_sweep(bounds, jobs):
+def _orbit_sweep(bounds):
     for q, cap_key in ((2, "orbit_total_q2"), (3, "orbit_total_q3")):
         for total in range(bounds[cap_key] + 1):
             for d in range(total // 2 + 1):
@@ -154,7 +153,7 @@ def _bell(m):
     return row[0]
 
 
-def _levi_sweep(bounds, jobs):
+def _levi_sweep(bounds):
     """The antistandard Levi count, then the bound, its equality configuration and its converse on each."""
     levis = []
     for n in range(1, bounds["levi_rank"] + 1):
@@ -165,16 +164,15 @@ def _levi_sweep(bounds, jobs):
             return "antistandard-count", n, len(found), _bell(n - 1)
         levis += found
     bound = bounds["levi_bound"]
-    # one worker pool for the whole criterion; leaving early closes it
-    with closing(lv.sweep_levis(levis, bound, bound, jobs)) as reports:
-        for res in reports:
-            if res["failures"]:
-                lam, nu, _ = res["failures"][0]
-                return res["levi"], lam, nu
+    for levi in levis:
+        res = lv.sweep_inequality(levi, bound, bound)
+        if res["failures"]:
+            lam, nu, _ = res["failures"][0]
+            return res["levi"], lam, nu
     return None
 
 
-def _identity_audit(bounds, jobs):
+def _identity_audit(bounds):
     for n in range(1, bounds["identity_n"] + 1):
         for d in range(6):
             for dp in range(6):

@@ -8,9 +8,8 @@ coroots of the Levi are e_a - e_b for a before b in a common block.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from operator import ge
 
@@ -501,8 +500,8 @@ def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int) -> dict:
     """Exhaustive check of the bound for all lam, dominant nu within the box.
 
     Returns whether the Levi is antistandard, totals, every equality witness
-    (lam, nu, mu, mu_dom, f, rhs) in canonical order, and any failures.  It
-    runs in the calling process, on one kernel.
+    (lam, nu, mu, mu_dom, f, rhs) in canonical order, and any failures, all
+    from one kernel.
     """
     kernel = _LeviKernel(levi)
     total, equalities, failures = kernel.sweep(lam_bound, nu_bound)
@@ -515,23 +514,3 @@ def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int) -> dict:
         "failures": failures,
         "holds": not failures,
     }
-
-
-def sweep_levis(levis, lam_bound: int, nu_bound: int, jobs: int = 1):
-    """sweep_inequality for each Levi in turn, all on at most one worker pool.
-
-    The reports come one at a time, in the order of levis, so a caller that
-    stops at the first failing Levi sweeps no further.  Each Levi is one task.
-    jobs is clamped to the CPU count and to the number of Levis, so no worker
-    process is started idle; with one job no pool is started.
-    """
-    levis = list(levis)
-    sweep = partial(sweep_inequality, lam_bound=lam_bound, nu_bound=nu_bound)
-    jobs = min(jobs, os.cpu_count() or 1, len(levis))
-    if jobs <= 1:
-        yield from map(sweep, levis)
-        return
-    from multiprocessing import Pool
-
-    with Pool(jobs) as pool:
-        yield from pool.imap(sweep, levis)

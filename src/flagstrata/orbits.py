@@ -133,7 +133,7 @@ def _flag_index(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict[tuple
 
 @lru_cache(maxsize=None)
 def _cycle_edges(g: gf.Matrix, q: int) -> array:
-    """Flat (i, g.i) pairs along each cycle of g on the flags, closing step left out.
+    """Flat (i, g.i) pairs along each cycle of g on the flags, the step back to the start left out.
 
     The cycles are walked from their smallest flag, so a fixed flag gives no
     edge and a cycle of k flags gives k - 1.  A map that is not a bijection

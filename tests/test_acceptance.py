@@ -29,7 +29,7 @@ TEST_NAMES = (
 def _acceptance_test(number, check):
     def test():
         started = time.perf_counter()
-        witness = check.run(checks.DEFAULT_BOUNDS, 1)
+        witness = check.run(checks.DEFAULT_BOUNDS)
         elapsed = time.perf_counter() - started
         status = "PASS" if witness is None and elapsed < check.budget else "FAIL"
         print(f"ACCEPTANCE {number} {check.name}: {status} ({elapsed:.1f}s, budget {check.budget}s)")
@@ -48,10 +48,10 @@ def test_degree_and_pieri_cells_catch_patched_formulas(monkeypatch):
     run = {check.name: check.run for check in checks.CHECKS}
     real_flag, real_aut, real_pieri = checks.cw.complete_flag_dim, checks.cw.automorphism_dim, checks.sc.pieri
     monkeypatch.setattr(checks.cw, "complete_flag_dim", lambda mu: real_flag(mu) + (mu == (2, 1)))
-    assert run["flag-count-recursion-vs-brute"](checks.DEFAULT_BOUNDS, 1) == ("flags-degree", (2, 1))
+    assert run["flag-count-recursion-vs-brute"](checks.DEFAULT_BOUNDS) == ("flags-degree", (2, 1))
     monkeypatch.setattr(checks.cw, "complete_flag_dim", real_flag)
     monkeypatch.setattr(checks.cw, "automorphism_dim", lambda mu: real_aut(mu) + (mu == (1, 1)))
-    assert run["flag-count-recursion-vs-brute"](checks.DEFAULT_BOUNDS, 1) == ("units-degree", (1, 1))
+    assert run["flag-count-recursion-vs-brute"](checks.DEFAULT_BOUNDS) == ("units-degree", (1, 1))
     # a strip allowed one row past the 2n variables
     monkeypatch.setattr(checks.sc, "pieri", lambda lam, k, nvars: real_pieri(lam, k, nvars + 1))
-    assert run["dimension-identity-audits"](checks.DEFAULT_BOUNDS, 1) == ("pieri-tiling", 1, 1, 2)
+    assert run["dimension-identity-audits"](checks.DEFAULT_BOUNDS) == ("pieri-tiling", 1, 1, 2)

@@ -92,17 +92,11 @@ def test_levi_command(capsys):
     assert row[0] == "[[1,3],[2,4]]" and row[1] == "True" and row[-1] == "True"
 
 
-def test_levi_command_runs_in_one_process(capsys, monkeypatch):
-    # --jobs serves the selftest Levi criterion only; a single Levi is one task
-    import multiprocessing
-
-    pools = []
-    monkeypatch.setattr(multiprocessing, "Pool", lambda processes: pools.append(processes))
-    monkeypatch.setattr(cli.lv.os, "cpu_count", lambda: 2)
-    argv = ["levi", "4", "[[1,3],[2,4]]", "2", "2"]
-    serial = run(capsys, "--jobs", "1", *argv)
-    assert run(capsys, "--jobs", "2", *argv) == serial
-    assert serial[0] == 0 and pools == []
+def test_levi_command_runs_in_one_process(capsys):
+    # every run is one process: --jobs is accepted and changes no byte
+    for argv in (["levi", "4", "[[1,3],[2,4]]", "2", "2"], [*FAST_BOUNDS, "selftest"]):
+        serial = run(capsys, "--jobs", "1", *argv)
+        assert serial[0] == 0 and run(capsys, "--jobs", "3", *argv) == serial
 
 
 def test_invalid_config_exit_2(capsys):
@@ -190,7 +184,7 @@ def test_command_and_criterion_share_one_verdict(capsys, monkeypatch):
         monkeypatch.setattr(module, name, fake)
         for fmt in ("tsv", "json"):
             assert run(capsys, "--format", fmt, *argv)[0] == 1, (argv, fmt)
-        assert criteria[check](cli.DEFAULT_BOUNDS, 1) == witness
+        assert criteria[check](cli.DEFAULT_BOUNDS) == witness
         monkeypatch.undo()
 
 
@@ -272,7 +266,7 @@ COMMAND = hs.one_of(
 )
 GOOD_OPTIONS = hs.tuples(
     hs.sampled_from([(), ("--format", "tsv"), ("--format", "json")]),
-    hs.sampled_from([(), ("--jobs", "1")]),
+    hs.sampled_from([(), ("--jobs", "1"), ("--jobs", "2"), ("--jobs", "8")]),
     hs.sampled_from([(), ("--bound", "schur_n=2"), ("--bound", "identity_n=1"), ("--bound", "levi_bound=0")]),
 )
 BAD_OPTION = hs.sampled_from([
@@ -316,22 +310,22 @@ st.ind_character = real_character
 real_by_type = st._character_by_type
 st._character_by_type = lambda d, dp: {lam: v + (lam == (1,) * (d + dp)) for lam, v in real_by_type(d, dp).items()}
 print(repr(st.invariants_dim(1, 1, 1)))
-print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1), 1))
+print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1)))
 # a stabilizer class sum that makes the induced character 1/2 on the 4-cycles
 st._stabilizer_class_sums = lambda d, dp: {(4,): 1}
 print(repr(st._induced_character_by_type(st.cycle_type((2, 3, 4, 1)), 2, 2)))
 # an even-rank closed form one above the flag bundle dimension
 cw.flag_bundle_dim_even = lambda n, r, g: real_even(n, r, g) + 1
-print(run["dimension-identity-audits"](dict(checks.DEFAULT_BOUNDS, identity_n=1), 1))
+print(run["dimension-identity-audits"](dict(checks.DEFAULT_BOUNDS, identity_n=1)))
 # strata that cover none of the pairings
 real_strata = st.strata_involutions
 st.strata_involutions = lambda j, jp, n: []
-print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1), 1))
+print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1)))
 st.strata_involutions = real_strata
 # a pairing gap one below its value: every bound holds, but none is attained
 lv.f_val = lambda mu, levi: real_f(mu, levi) - 1
 print(cli.main(["levi", "2", "[[1],[2]]", "1", "1"]))
-print(run["levi-pairing-gap-bound"](dict(checks.DEFAULT_BOUNDS, levi_rank=2, levi_bound=1), 1))
+print(run["levi-pairing-gap-bound"](dict(checks.DEFAULT_BOUNDS, levi_rank=2, levi_bound=1)))
 # the two arrangements of the Levi bound disagree where it is strict
 lv.f_val = lambda mu, levi: -10**6
 lv.pairing = lambda a, b: -real_pairing(a, b)

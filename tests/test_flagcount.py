@@ -520,7 +520,7 @@ def test_non_integral_leading_fails_under_optimize():
         "print(repr(fc.collided_fiber_mass(0, 0)[2]))\n"
         "print(cli.main(['fibermass', '0', '0']))\n"
         "run = {check.name: check.run for check in checks.CHECKS}\n"
-        "print(run['collided-mass-degree-and-leading'](dict(checks.DEFAULT_BOUNDS, mass_d=0), 1))\n",
+        "print(run['collided-mass-degree-and-leading'](dict(checks.DEFAULT_BOUNDS, mass_d=0)))\n",
         "-O",
     )
     assert done.returncode == 0, done.stderr
@@ -637,7 +637,7 @@ def test_mass_premise_failure_under_optimize(bad_flags):
         f"fc.count_flags_poly = lambda mu: {bad_flags} if mu == (1, 1) else exact(mu)\n"
         "print(cli.main(['fibermass', '1', '1']))\n"
         "run = {check.name: check.run for check in checks.CHECKS}\n"
-        "print(run['collided-mass-degree-and-leading'](dict(checks.DEFAULT_BOUNDS, mass_d=1), 1))\n",
+        "print(run['collided-mass-degree-and-leading'](dict(checks.DEFAULT_BOUNDS, mass_d=1)))\n",
         "-O",
     )
     assert done.returncode == 0, done.stderr

@@ -273,37 +273,6 @@ def lam_major_sweep(levi, lam_bound, nu_bound):
     }
 
 
-def roundtrip(value):
-    return pickle.loads(pickle.dumps(value))
-
-
-def sweep_on_two_workers(monkeypatch, levi, lam_bound, nu_bound):
-    """levi's report from sweep_levis with --jobs 2, next to a second Levi, on an
-    in-process stand-in for the worker pool."""
-    import multiprocessing
-
-    class InlinePool:
-        def __init__(self, processes):
-            assert processes == 2
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items):
-            # each task and each result is pickled, as on its way to and from a worker
-            for item in items:
-                yield roundtrip(roundtrip(fn)(roundtrip(item)))
-
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    monkeypatch.setattr(lv.os, "cpu_count", lambda: 2)
-    first, second = lv.sweep_levis([levi, TORUS2], lam_bound, nu_bound, jobs=2)
-    assert second == lv.sweep_inequality(TORUS2, lam_bound, nu_bound)
-    return first
-
-
 def test_block_levi_validation():
     with pytest.raises(ValueError):
         lv.BlockLevi(3, [(1, 2)])
@@ -482,83 +451,24 @@ def test_sweep_holds_small():
     assert res["holds"] and res["pairs_checked"] > 0 and not res["failures"]
 
 
-def test_sweep_parallel_matches_serial():
-    # a real pool; pickle bytes differ across processes, so compare by value
-    levis = lv.antistandard_levis(4)
-    serial = list(lv.sweep_levis(levis, 1, 1, 1))
-    assert list(lv.sweep_levis(levis, 1, 1, 2)) == serial
-    assert [res["levi"] for res in serial] == [str(levi) for levi in levis]
-
-
-def test_sweep_jobs_clamped(monkeypatch):
-    import multiprocessing
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    rank4 = lv.antistandard_levis(4)
-    for cpus, levis, jobs, pools in [
-        (4, rank4, 1000, [4]),  # 5 Levis: the CPU count binds
-        (64, rank4, 1000, [5]),  # their number binds
-        (64, [INTER4], 8, []),  # one Levi: one process, no pool
-        (None, rank4, 8, []),  # unknown CPU count: one process, no pool
-    ]:
-        serial = list(lv.sweep_levis(levis, 1, 1, 1))
-        monkeypatch.setattr(lv.os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        assert list(lv.sweep_levis(levis, 1, 1, jobs)) == serial
-        assert sizes == pools
-
-
-def test_levi_criterion_opens_one_pool(monkeypatch):
-    import multiprocessing
-
+def test_levi_criterion_stops_at_the_first_failing_levi(monkeypatch):
     from flagstrata import checks
 
-    events = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            events.append(("open", processes))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            events.append(("close",))
-            return False
-
-        def imap(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(lv.os, "cpu_count", lambda: 4)
+    swept = []
+    real_sweep = lv.sweep_inequality
+    monkeypatch.setattr(lv, "sweep_inequality", lambda levi, *box: swept.append(str(levi)) or real_sweep(levi, *box))
     run = {check.name: check.run for check in checks.CHECKS}["levi-pairing-gap-bound"]
-    bounds = checks.DEFAULT_BOUNDS
+    levis = [str(levi) for n in range(1, 5) for levi in lv.antistandard_levis(n)]
     real_f = lv.f_val
-    for f, verdict in [
-        (real_f, None),
+    for f, verdict, levis_swept in [
+        # all nine antistandard Levis of rank <= 4, in order
+        (real_f, None, levis),
         # one below its value: no bound is attained, so the first Levi fails its converse
-        (lambda mu, levi: real_f(mu, levi) - 1, ("[[1]]", (-2,), (-2,))),
+        (lambda mu, levi: real_f(mu, levi) - 1, ("[[1]]", (-2,), (-2,)), ["[[1]]"]),
     ]:
         monkeypatch.setattr(lv, "f_val", f)
-        events.clear()
-        assert run(bounds, 1) == verdict and events == []
-        # nine antistandard Levis of rank <= 4, one pool, closed on an early return too
-        assert run(bounds, 2) == verdict and events == [("open", 2), ("close",)]
+        swept.clear()
+        assert run(checks.DEFAULT_BOUNDS) == verdict and swept == levis_swept
 
 
 def test_rearrangement_mismatch_fails_with_witness(monkeypatch):
@@ -682,7 +592,6 @@ def test_class_shortcuts_keep_a_raised_f_val(monkeypatch):
         assert class_members(mu, levi) <= failing
         kinds = {w["kind"] for _, _, report in res["failures"] for w in report["witnesses"]}
         assert kinds - {"equality"} == {"mismatch"}
-        assert sweep_on_two_workers(monkeypatch, levi, 1, 1) == res
         monkeypatch.setattr(lv, "f_val", real_f)
 
 
@@ -712,15 +621,14 @@ def test_class_shortcuts_keep_the_converse(monkeypatch):
             if all(rhs > max_f and r2 >= max_g for rhs, r2 in sides):
                 skipped += len(members) > 1
         assert skipped
-        assert sweep_on_two_workers(monkeypatch, levi, 1, 1) == res
 
 
 def test_levi_criterion_counts_antistandard_levis(monkeypatch):
     from flagstrata import checks
 
     run = {check.name: check.run for check in checks.CHECKS}["levi-pairing-gap-bound"]
-    assert run(checks.DEFAULT_BOUNDS, 1) is None
+    assert run(checks.DEFAULT_BOUNDS) is None
     # admit the full Levi of GL_3, which holds 1, 2 and 3 in one block
     real = lv.is_antistandard
     monkeypatch.setattr(lv, "is_antistandard", lambda levi: real(levi) or levi == full_levi(3))
-    assert run(checks.DEFAULT_BOUNDS, 1) == ("antistandard-count", 3, 3, 2)
+    assert run(checks.DEFAULT_BOUNDS) == ("antistandard-count", 3, 3, 2)

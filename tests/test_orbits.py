@@ -213,9 +213,9 @@ def test_generator_that_does_not_permute_flags_raises(monkeypatch, capsys):
 def test_orbit_criterion_checks_flag_total(monkeypatch):
     real = ob.flag_total
     (check,) = [c for c in checks.CHECKS if c.name == "orbit-counts-vs-classifying-pairs"]
-    assert check.run(checks.DEFAULT_BOUNDS, 1) is None
+    assert check.run(checks.DEFAULT_BOUNDS) is None
     monkeypatch.setattr(ob, "flag_total", lambda n, q: real(n, q) + 1)
-    assert check.run(checks.DEFAULT_BOUNDS, 1) == (0, 0, 2)
+    assert check.run(checks.DEFAULT_BOUNDS) == (0, 0, 2)
 
 
 def test_flags_are_strict_chains():

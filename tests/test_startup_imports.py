@@ -16,9 +16,10 @@ import os
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-UNUSED = ("dataclasses", "inspect", "typing", "fractions", "decimal", "json")
-# passing calls that reach every module, and the integer-only exact arithmetic
-CALLS = (["--jobs", "1", "selftest"], ["fibermass", "6", "6"])
+UNUSED = ("dataclasses", "inspect", "typing", "fractions", "decimal", "json", "multiprocessing")
+# passing calls that reach every module, and the integer-only exact arithmetic;
+# --jobs above 1 must start no worker either
+CALLS = (["--jobs", "1", "selftest"], ["--jobs", "2", "selftest"], ["fibermass", "6", "6"])
 
 
 def main() -> int:

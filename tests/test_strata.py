@@ -220,13 +220,13 @@ def test_induced_match_above_the_sweep_cap(monkeypatch):
     assert st.verify_strata(0, 2)[4:] == (True, 1, True)
     run = {check.name: check.run for check in checks.CHECKS}
     bounds = dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1)
-    assert run["induced-character-and-invariants"](bounds, 1) is None
+    assert run["induced-character-and-invariants"](bounds) is None
     # one class sum doubled above the patched cap fails the match there
     real = st._stabilizer_class_sums
     doubled = lambda d, dp: real(d, dp) if d + dp < 2 else {**real(d, dp), (2,): 2 * real(d, dp)[(2,)]}
     monkeypatch.setattr(st, "_stabilizer_class_sums", doubled)
     assert st.verify_strata(0, 2)[4:] == (False, 1, False)
-    assert run["induced-character-and-invariants"](bounds, 1) == (0, 2)
+    assert run["induced-character-and-invariants"](bounds) == (0, 2)
 
 
 def test_induced_realization_rejects_wrong_traces(monkeypatch):
