@@ -59,9 +59,10 @@ def _emit(header, rows, fmt, payload):
             payload = [dict(zip(header, row)) for row in rows]
         print(json.dumps(payload, default=str))
     else:
-        print("\t".join(header))
-        for row in rows:
-            print("\t".join(str(x) for x in row))
+        lines = ["\t".join(header)]
+        lines += ["\t".join(map(str, row)) for row in rows]
+        lines.append("")
+        sys.stdout.write("\n".join(lines))
 
 
 def _fmt_vec(v) -> str:
@@ -70,8 +71,10 @@ def _fmt_vec(v) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommands: each builds its values once, and both the TSV rows and the
-# JSON payload are read from them.  Each verdict is read from the cell
-# function its checks.CHECKS sweep calls; no payload means a record per row.
+# JSON payload are read from them; strata and levi, the largest outputs,
+# build only the one that args.format prints.  Each verdict is read from the
+# cell function its checks.CHECKS sweep calls; no payload means a record per
+# row.
 
 
 def cmd_schur(args, bounds):
@@ -97,43 +100,50 @@ def cmd_strata(args, bounds):
     if not 0 <= d <= dp:
         raise ConfigError("need 0 <= d <= dp")
     pairings, strata, covers, characters, induced, expected, ok = st.verify_strata(d, dp)
-    c_pairs = [(j, jp, disjoint, [w.cycle_notation() for w in ws]) for j, jp, disjoint, ws in strata]
-    rows = [
-        ("c-pair", _fmt_vec(j), _fmt_vec(jp), disjoint, ";".join(names) or "-")
-        for j, jp, disjoint, names in c_pairs
-    ]
-    rows.append(("pairings", len(pairings), "strata-cover", covers, "-"))
-    failures = {}  # the witness of each failure that no other field shows
-    if len(pairings) != expected:
+    header = ("kind", "a", "b", "c", "d")
+    mismatch = len(pairings) != expected
+    if mismatch:
         print(f"pairings: enumerated {len(pairings)}, pairing_count {expected}", file=sys.stderr)
-        failures["pairing_count_mismatch"] = {"enumerated": len(pairings), "pairing_count": expected}
-        rows.append(("pairing-count-mismatch", len(pairings), expected, "-", "-"))
+    exc = None
     if isinstance(characters, st.ClassFunctionError):
         exc, characters = characters, {}  # the failed table lists no character
-        traces = (exc.first, exc.second)
-        failures["character_not_class_function"] = {
-            "ctype": list(exc.ctype),
-            "traces": [{"sigma": list(sigma), "value": value} for sigma, value in traces],
-        }
-        witness = [f"{_fmt_vec(sigma)}:{value}" for sigma, value in traces]
-        rows.append(("character-not-class-function", _fmt_vec(exc.ctype), *witness, "-"))
     table = sorted(characters.items(), reverse=True)
+    if args.format == "json":
+        # json writes a tuple as a list, so the vectors go in as they are
+        payload = {
+            "d": d,
+            "dp": dp,
+            "pairings": [w.blocks for w in pairings],
+            "c_pairs": [
+                {"J": j, "Jp": jp, "disjoint": disjoint, "strata": [w.cycle_notation() for w in ws]}
+                for j, jp, disjoint, ws in strata
+            ],
+            "characters": {_fmt_vec(ctype): value for ctype, value in table},
+            "strata_cover": covers,
+            "induced_model_match": induced,
+        }
+        # the witness of each failure that no other field shows
+        if mismatch:
+            payload["pairing_count_mismatch"] = {"enumerated": len(pairings), "pairing_count": expected}
+        if exc is not None:
+            payload["character_not_class_function"] = {
+                "ctype": exc.ctype,
+                "traces": [{"sigma": sigma, "value": value} for sigma, value in (exc.first, exc.second)],
+            }
+        return header, (), ok, payload
+    rows = [
+        ("c-pair", _fmt_vec(j), _fmt_vec(jp), disjoint, ";".join([w.cycle_notation() for w in ws]) or "-")
+        for j, jp, disjoint, ws in strata
+    ]
+    rows.append(("pairings", len(pairings), "strata-cover", covers, "-"))
+    if mismatch:
+        rows.append(("pairing-count-mismatch", len(pairings), expected, "-", "-"))
+    if exc is not None:
+        witness = [f"{_fmt_vec(sigma)}:{value}" for sigma, value in (exc.first, exc.second)]
+        rows.append(("character-not-class-function", _fmt_vec(exc.ctype), *witness, "-"))
     rows += [("character", _fmt_vec(ctype), value, "-", "-") for ctype, value in table]
     rows.append(("induced-model-match", induced, "-", "-", "-"))
-    payload = {
-        "d": d,
-        "dp": dp,
-        "pairings": [[list(b) for b in w.blocks] for w in pairings],
-        "c_pairs": [
-            {"J": list(j), "Jp": list(jp), "disjoint": disjoint, "strata": names}
-            for j, jp, disjoint, names in c_pairs
-        ],
-        "characters": {_fmt_vec(ctype): value for ctype, value in table},
-        "strata_cover": covers,
-        "induced_model_match": induced,
-        **failures,
-    }
-    return ("kind", "a", "b", "c", "d"), rows, ok, payload
+    return header, rows, ok, None
 
 
 def cmd_flagdim(args, bounds):
@@ -193,43 +203,27 @@ def cmd_levi(args, bounds):
     if args.lam_bound < 0 or args.nu_bound < 0:
         raise ConfigError("bounds must be >= 0")
     res = lv.sweep_inequality(levi, args.lam_bound, args.nu_bound)
-    rows = [
-        (
-            str(levi),
-            res["antistandard"],
-            res["pairs_checked"],
-            len(res["equalities"]),
-            len(res["failures"]),
-            res["holds"],
-        )
-    ]
-    for lam, nu, mu, mu_dom, f, rhs in res["equalities"]:
-        rows.append(
-            ("equality", _fmt_vec(lam), _fmt_vec(nu), _fmt_vec(mu), f, rhs)
-        )
-    for lam, nu, _ in res["failures"]:
-        rows.append(("FAILED-bound", _fmt_vec(lam), _fmt_vec(nu), "-", "-", False))
-    payload = {
-        "levi": [list(b) for b in levi.blocks],
-        "antistandard": res["antistandard"],
-        "pairs_checked": res["pairs_checked"],
-        "holds": res["holds"],
-        "equalities": [
-            {
-                "lam": list(lam),
-                "nu": list(nu),
-                "mu": list(mu),
-                "mu_dom": list(mu_dom),
-                "f": f,
-                "rhs": rhs,
-            }
-            for lam, nu, mu, mu_dom, f, rhs in res["equalities"]
-        ],
-        "failures": [
-            {"lam": list(lam), "nu": list(nu)} for lam, nu, _ in res["failures"]
-        ],
-    }
-    return ("levi", "antistandard", "pairs", "equalities", "failures", "holds"), rows, res["holds"], payload
+    header = ("levi", "antistandard", "pairs", "equalities", "failures", "holds")
+    equalities, failures, holds = res["equalities"], res["failures"], res["holds"]
+    if args.format == "json":
+        # json writes a tuple as a list, so the vectors go in as they are
+        payload = {
+            "levi": levi.blocks,
+            "antistandard": res["antistandard"],
+            "pairs_checked": res["pairs_checked"],
+            "holds": holds,
+            "equalities": [
+                {"lam": lam, "nu": nu, "mu": mu, "mu_dom": mu_dom, "f": f, "rhs": rhs}
+                for lam, nu, mu, mu_dom, f, rhs in equalities
+            ],
+            "failures": [{"lam": lam, "nu": nu} for lam, nu, _ in failures],
+        }
+        return header, (), holds, payload
+    name = functools.cache(_fmt_vec)  # each vector formatted once per call
+    rows = [(str(levi), res["antistandard"], res["pairs_checked"], len(equalities), len(failures), holds)]
+    rows += [("equality", name(lam), name(nu), name(mu), f, rhs) for lam, nu, mu, _, f, rhs in equalities]
+    rows += [("FAILED-bound", name(lam), name(nu), "-", "-", False) for lam, nu, _ in failures]
+    return header, rows, holds, None
 
 
 def cmd_selftest(args, bounds):

@@ -79,7 +79,7 @@ def partitions(n: int, max_parts: int | None = None, max_part: int | None = None
 
 
 def format_coweight(v: Vec) -> str:
-    return ",".join(str(x) for x in v)
+    return ",".join(map(str, v))
 
 
 # ---------------------------------------------------------------------------

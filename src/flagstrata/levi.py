@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import product
-from operator import ge
+from itertools import accumulate, product
+from operator import ge, itemgetter
 
 from .coweights import pairing, weakly_decreasing, weakly_increasing
 
@@ -124,15 +124,19 @@ def _place(levi: BlockLevi, per_block) -> Vec:
 
 def is_dominant_m(lam: Vec, levi: BlockLevi) -> bool:
     firsts, seconds = _neighbours(levi)
-    get = lam.__getitem__
-    return all(map(ge, map(get, firsts), map(get, seconds)))
+    return all(map(ge, firsts(lam), seconds(lam)))
 
 
 @lru_cache(maxsize=None)
-def _neighbours(levi: BlockLevi) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The 0-based positions a and b of each pair of adjacent entries a before b in a block."""
+def _neighbours(levi: BlockLevi):
+    """Getters of the entries at a and at b, over each pair of adjacent positions a before b in a block.
+
+    Pairs (0, 0), which always hold, pad the list to two, so that each
+    getter returns a tuple.
+    """
     pairs = [(a - 1, b - 1) for block in levi.blocks for a, b in zip(block, block[1:])]
-    return tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    pairs += [(0, 0)] * (2 - len(pairs))
+    return itemgetter(*[a for a, _ in pairs]), itemgetter(*[b for _, b in pairs])
 
 
 def leq_g(lam: Vec, mu: Vec) -> bool:
@@ -234,16 +238,6 @@ def _below(kept: list[tuple[dict, bool]], nu: Vec) -> list[tuple[dict, bool]]:
     return [(found, ok) for found, ok in kept if leq_g(found["mu_dom"], nu)]
 
 
-def _decreasing_tuples(length: int, lo: int, hi: int):
-    """Every weakly decreasing tuple with entries in [lo, hi]."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(lo, hi + 1):
-        for rest in _decreasing_tuples(length - 1, lo, first):
-            yield (first,) + rest
-
-
 def _orderings(values: Vec):
     """The distinct orderings of values, in increasing lexicographic order."""
     if not values:
@@ -256,83 +250,124 @@ def _orderings(values: Vec):
             yield (first,) + tail
 
 
+# The integer enumerations a sweep reads, shared by every sweep of the
+# process.  They are keyed on integers alone and read no hook, so a rebound
+# f_val or pairing cannot reach them; the bounds keep a long run's memory flat.
+
+
+@lru_cache(maxsize=1 << 8)
+def _decreasing_tuples(length: int, lo: int, hi: int) -> tuple[Vec, ...]:
+    """Every weakly decreasing tuple with entries in [lo, hi], in increasing lexicographic order."""
+    if length == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(lo, hi + 1) for rest in _decreasing_tuples(length - 1, lo, first))
+
+
+@lru_cache(maxsize=1 << 10)
+def _dominant_nus(n: int, lo: int, hi: int, total: int) -> tuple[tuple[Vec, Vec], ...]:
+    """Each dominant nu in [lo, hi]^n of sum total, with its prefix sums.
+
+    For a mu_dom of the same sum, leq_g(mu_dom, nu) is that no prefix sum of
+    mu_dom exceeds the same prefix sum of nu.
+    """
+    return tuple((nu, tuple(accumulate(nu))) for nu in _fixed_sum_tuples(n, lo, hi, total))
+
+
+@lru_cache(maxsize=1 << 12)
+def _block_choices(top: Vec, lo: int, hi: int) -> tuple[Vec, ...]:
+    """Decreasing tuples in [lo, hi] with the sum of top that lie above it.
+
+    Above is leq_g along the block, which is how the blockwise order of
+    mu over dom_m(lam) factors over the blocks.
+    """
+    return tuple(c for c in _fixed_sum_tuples(len(top), lo, hi, sum(top)) if leq_g(top, c))
+
+
+@lru_cache(maxsize=1 << 6)
+def _block_tops(length: int, lo: int, hi: int) -> tuple[tuple[Vec, tuple[Vec, ...]], ...]:
+    """Each decreasing tuple of the length in [lo, hi], with its orderings."""
+    return tuple((top, tuple(_orderings(top))) for top in _decreasing_tuples(length, lo, hi))
+
+
+@lru_cache(maxsize=1 << 6)
+def _sum_counts(n: int, lam_bound: int) -> tuple[int, ...]:
+    """How many lams of [-lam_bound, lam_bound]^n have each sum, from -n * lam_bound up."""
+    counts = [1]
+    for _ in range(n):
+        padded = [0] * (2 * lam_bound) + counts + [0] * (2 * lam_bound)
+        counts = [sum(padded[i : i + 2 * lam_bound + 1]) for i in range(len(counts) + 2 * lam_bound)]
+    return tuple(counts)
+
+
+_F = itemgetter(2)
+_G = itemgetter(3)
+
+
+class _Rows(dict):
+    """The rows of one kernel, keyed on mu's blocks: a missing row is built on lookup.
+
+    A row is (mu, dom_g(mu), f_val(mu), g(mu)), so f_val is called once per
+    mu.  g(mu) = <mu, 2rho_M> - <dom_g(mu), 2rho> is the mu side of the
+    second arrangement of the bound: by bilinearity,
+    <lam + mu, 2rho_M> <= <lam + dom_g(mu), 2rho> is g(mu) <= r2(lam)
+    with r2(lam) = <lam, 2rho> - <lam, 2rho_M>.  Neither side reads f_val
+    or the gap, so a rebound f_val still shows as a mismatch.
+    """
+
+    __slots__ = ("levi", "place", "rho", "rho_m")
+
+    def __init__(self, levi: BlockLevi, place, rho: Vec, rho_m: Vec):
+        self.levi, self.place, self.rho, self.rho_m = levi, place, rho, rho_m
+
+    def __missing__(self, blocks: tuple[Vec, ...]) -> tuple:
+        mu = self.place(sum(blocks, ()))
+        mu_dom = tuple(sorted(mu, reverse=True))
+        row = self[blocks] = (mu, mu_dom, f_val(mu, self.levi), pairing(mu, self.rho_m) - pairing(mu_dom, self.rho))
+        return row
+
+
 class _LeviKernel:
     """What a sweep over one Levi computes once and reuses.
 
     The rho vectors, their gap and the antistandard flag are fixed by the
     Levi.  The candidates of a lam depend on it only through its dom_m
-    class, the block-sorted lam, and a class's rows are
-    (mu, dom_g(mu), f(mu), g(mu)), one per candidate mu, built from per-block
-    choices cached on (block values, lo, hi) and from one row per mu.  A
-    kernel lives for one sweep or one public call, so nothing is kept
-    across sweeps.  It calls f_val and pairing through the module globals:
-    a rebound f_val or pairing takes effect from the next sweep on.
+    class, the block-sorted lam, and a class's rows are one per candidate
+    mu, from the product of each block's _block_choices.  The rows read
+    f_val and pairing, so they live in the kernel, and a kernel lives for
+    one sweep or one public call; the integer enumerations above outlive
+    it.  It calls f_val and pairing through the module globals: a rebound
+    f_val or pairing takes effect from the next sweep on.
     """
 
     def __init__(self, levi: BlockLevi):
+        n = levi.n
         self.levi = levi
-        self.rho = two_rho(levi.n)
+        self.rho = two_rho(n)
         self.rho_m = two_rho_levi(levi)
         self.rho_gap = tuple(a - b for a, b in zip(self.rho, self.rho_m))
         self.antistandard = is_antistandard(levi)
         self._index = [[p - 1 for p in block] for block in levi.blocks]
-        self._choices: dict = {}
-        self._mu_rows: dict = {}
+        # place: the vector from its blocks' values laid end to end, block by block
+        order = [p for index in self._index for p in index]
+        self.place = tuple if order == list(range(n)) else itemgetter(*sorted(range(n), key=order.__getitem__))
+        self._rows = _Rows(levi, self.place, self.rho, self.rho_m)
 
-    def block_choices(self, top: Vec, lo: int, hi: int) -> list[Vec]:
-        """Decreasing tuples in [lo, hi] with the sum of top that lie above it.
-
-        Above is leq_g along the block, which is how the blockwise order of
-        mu over dom_m(lam) factors over the blocks.
-        """
-        key = (top, lo, hi)
-        found = self._choices.get(key)
-        if found is None:
-            found = [c for c in _fixed_sum_tuples(len(top), lo, hi, sum(top)) if leq_g(top, c)]
-            self._choices[key] = found
-        return found
-
-    def class_rows(self, choices: list[list[Vec]]) -> list[tuple]:
-        """The rows of a dom_m class, one per candidate mu, from each block's block_choices.
+    def rows(self, lam: Vec, lo: int, hi: int) -> list[tuple]:
+        """The rows of lam's dom_m class over [lo, hi].
 
         The candidates are the Levi-dominant mu with entries in [lo, hi]
         above the class blockwise.  For a lam of the class and a dominant nu
         with lo <= min(nu) and max(nu) <= hi, the squeeze set of (lam, nu) is
         the candidates with leq_g(dom_g(mu), nu): that test forces equal sums
-        and the entries of mu into [min nu, max nu].  A row is built once per
-        kernel, keyed on mu's blocks, and f_val is called once per mu.
+        and the entries of mu into [min nu, max nu].
         """
-        mu_rows = self._mu_rows
-        out = []
-        for combo in product(*choices):
-            row = mu_rows.get(combo)
-            if row is None:
-                row = mu_rows[combo] = self.mu_row(_place(self.levi, combo))
-            out.append(row)
-        return out
-
-    def rows(self, lam: Vec, lo: int, hi: int) -> list[tuple]:
-        """The rows of lam's dom_m class over [lo, hi]."""
         if min(lam) < lo or hi < max(lam):
             # a block of mu above a block of lam starts at least as high and
             # ends at least as low, so some block has no choice in [lo, hi]
             return []
         get = lam.__getitem__
         tops = [tuple(sorted(map(get, index), reverse=True)) for index in self._index]
-        return self.class_rows([self.block_choices(top, lo, hi) for top in tops])
-
-    def mu_row(self, mu: Vec) -> tuple:
-        """(mu, dom_g(mu), f_val(mu), g(mu)).
-
-        g(mu) = <mu, 2rho_M> - <dom_g(mu), 2rho> is the mu side of the
-        second arrangement of the bound: by bilinearity,
-        <lam + mu, 2rho_M> <= <lam + dom_g(mu), 2rho> is g(mu) <= r2(lam)
-        with r2(lam) = <lam, 2rho> - <lam, 2rho_M>.  Neither side reads
-        f_val or the gap, so a rebound f_val still shows as a mismatch.
-        """
-        mu_dom = dom_g(mu)
-        g = pairing(mu, self.rho_m) - pairing(mu_dom, self.rho)
-        return mu, mu_dom, f_val(mu, self.levi), g
+        return list(map(self._rows.__getitem__, product(*[_block_choices(top, lo, hi) for top in tops])))
 
     def witnesses(self, lam: Vec, rhs: int, r2: int, rows: list[tuple]) -> list[tuple[dict, bool]]:
         """The witness list of lam over its class rows, sorted by mu.
@@ -349,10 +384,9 @@ class _LeviKernel:
         # only an antidominant lam has an expected configuration or a converse
         reversed_m, reversed_g = (w0_m(lam, levi), w0_g(lam)) if antidominant else (None, None)
         mu_star = reversed_m if self.antistandard else None
+        hits = [row for row in rows if row[2] >= rhs or row[3] > r2 or row[0] == mu_star]
         out = []
-        for mu, mu_dom, value, g in rows:
-            if value < rhs and g <= r2 and mu != mu_star:
-                continue
+        for mu, mu_dom, value, g in hits:
             # the same inequality in two arrangements; both must agree
             first = value <= rhs
             second = g <= r2
@@ -383,30 +417,24 @@ class _LeviKernel:
         }
 
     def classes(self, lam_bound: int, lo: int, hi: int):
-        """Every dom_m class of the lam box [-lam_bound, lam_bound]^n, with what the sweep reads of it.
+        """Every dom_m class of the lam box [-lam_bound, lam_bound]^n with candidates over [lo, hi],
+        with what the sweep reads of it.
 
         A class is a product of one decreasing tuple per block, and its lams
-        are the products of its blocks' orderings.  Both lam sides of the
-        bound, rhs and r2, are bilinear, so each ordering carries its part
-        of each, from pairing at its values padded with zeros, and a lam's
-        sides are the sums of its blocks' parts.  Each class comes as (tops,
-        orderings, block choices, sum, lam count, smallest rhs, smallest r2);
-        each block's orderings are (values, part of rhs, part of r2), the
-        weakly increasing one first.  A class with an entry outside [lo, hi]
-        has no candidates, so it comes with its sum and lam count alone.
+        are the products of its blocks' orderings.  A class with an entry
+        outside [lo, hi] has no candidates, so its pairs hold with no
+        witness and it is not listed.  Both lam sides of the bound, rhs and
+        r2, are bilinear, so each ordering carries its part of each, from
+        pairing at its values padded with zeros, and a lam's sides are the
+        sums of its blocks' parts.  Each class comes as one record per
+        block: (orderings, block choices, smallest part of rhs, smallest
+        part of r2), each ordering as (values, part of rhs, part of r2).
         """
         n = self.levi.n
-        shapes: dict[int, list] = {}  # each block length's decreasing tuples, with their orderings
-        classes = iter([((), (), [], 0, 1, 0, 0)])
+        per_block = []
         for index in self._index:
             records = []
-            if len(index) not in shapes:
-                tops = _decreasing_tuples(len(index), -lam_bound, lam_bound)
-                shapes[len(index)] = [(top, list(_orderings(top))) for top in tops]
-            for top, orderings in shapes[len(index)]:
-                if top[-1] < lo or hi < top[0]:
-                    records.append((None, None, None, sum(top), len(orderings), 0, 0))
-                    continue
+            for top, orderings in _block_tops(len(index), max(lo, -lam_bound), min(hi, lam_bound)):
                 rhs_parts = []
                 r2_parts = []
                 for values in orderings:
@@ -416,84 +444,70 @@ class _LeviKernel:
                     padded = tuple(padded)
                     rhs_parts.append(pairing(padded, self.rho_gap))
                     r2_parts.append(pairing(padded, self.rho) - pairing(padded, self.rho_m))
-                sided = list(zip(orderings, rhs_parts, r2_parts))
-                choice = [self.block_choices(top, lo, hi)]
-                records.append((top, sided, choice, sum(top), len(sided), min(rhs_parts), min(r2_parts)))
-            classes = _extended(classes, records)
-        return classes
+                sided = tuple(zip(orderings, rhs_parts, r2_parts))
+                records.append((sided, _block_choices(top, lo, hi), min(rhs_parts), min(r2_parts)))
+            per_block.append(records)
+        return product(*per_block)
 
     def sweep(self, lam_bound: int, nu_bound: int) -> tuple[int, list, list]:
         """The bound at every lam in [-lam_bound, lam_bound]^n and every dominant nu of its sum
-        in [-nu_bound, nu_bound]^n, over every class in classes order.
+        in [-nu_bound, nu_bound]^n: the classes in classes order, then the antidominant lams.
 
         Returns (pairs checked, equalities, failures).  A row has no witness
         when f < rhs, g <= r2 and mu is not the mu_star of the converse, so
         a lam whose rhs exceeds the largest f of its class rows and whose r2
         is at least their largest g can only fail the converse, which names
-        an antidominant lam alone.  Every other lam is judged over its class
-        rows.  When the smallest parts already clear both maxima, no lam of
-        the class is judged but its antidominant one, if it has one.
+        an antidominant lam alone.  The class loop judges every other lam
+        over its class rows, and skips a class whose smallest parts already
+        clear both maxima; the antidominant lams it did not judge are judged
+        after it.
         """
-        levi = self.levi
+        n = self.levi.n
         lo, hi = -nu_bound, nu_bound
-        nus_by_sum: dict[int, list[Vec]] = {}
-        # each antidominant lam with candidates, keyed by its class: its values in each block, read backwards
-        antidominant = {}
-        if self.antistandard:
-            for top in _decreasing_tuples(levi.n, max(lo, -lam_bound), min(hi, lam_bound)):
-                lam = top[::-1]
-                antidominant[tuple([tuple([lam[p] for p in reversed(index)]) for index in self._index])] = lam
-        total = 0
+        place = self.place
+        row = self._rows.__getitem__
+        # every lam of the box meets every dominant nu of its sum
+        counts = _sum_counts(n, lam_bound)
+        total = sum([count * len(_dominant_nus(n, lo, hi, s)) for s, count in enumerate(counts, -n * lam_bound)])
         equalities = []
         failures = []
-        for tops, orderings, choices, s, size, least_rhs, least_r2 in self.classes(lam_bound, lo, hi):
-            nus = nus_by_sum.get(s)
-            if nus is None:
-                nus = nus_by_sum[s] = list(_fixed_sum_tuples(levi.n, lo, hi, s))
-            total += size * len(nus)
-            if choices is None:
-                continue  # no candidates: each pair holds with no witness
-            rows = self.class_rows(choices)
-            max_f = max([row[2] for row in rows])
-            max_g = max([row[3] for row in rows])
-            judged = []
-            if not (least_rhs > max_f and least_r2 >= max_g):
-                for member in product(*orderings):
-                    rhs = sum([entry[1] for entry in member])
-                    r2 = sum([entry[2] for entry in member])
-                    if rhs <= max_f or r2 < max_g:
-                        judged.append((_place(levi, [entry[0] for entry in member]), rhs, r2))
-            lam = antidominant.get(tops)
-            if lam is not None:
-                # its blocks' first orderings; judged above unless it clears both maxima
-                rhs = sum([ords[0][1] for ords in orderings])
-                r2 = sum([ords[0][2] for ords in orderings])
-                if rhs > max_f and r2 >= max_g:
-                    judged.append((lam, rhs, r2))
-            for lam, rhs, r2 in judged:
-                kept = self.witnesses(lam, rhs, r2, rows)
-                # an empty witness list holds at every nu and reports nothing
-                for nu in nus if kept else ():
-                    below = _below(kept, nu)
-                    for found, _ in below:
-                        if found["kind"] == "equality":
-                            equalities.append((lam, nu, found["mu"], found["mu_dom"], found["f"], rhs))
-                    if not all(ok for _, ok in below):
-                        failures.append((lam, nu, self.report(below)))
+        for blocks in self.classes(lam_bound, lo, hi):
+            orderings, choices, least_rhs, least_r2 = zip(*blocks)
+            rows = list(map(row, product(*choices)))
+            max_f = max(map(_F, rows))
+            max_g = max(map(_G, rows))
+            if sum(least_rhs) > max_f and sum(least_r2) >= max_g:
+                continue
+            for member in product(*orderings):
+                values, rhs_parts, r2_parts = zip(*member)
+                rhs = sum(rhs_parts)
+                r2 = sum(r2_parts)
+                if rhs <= max_f or r2 < max_g:
+                    self.judge(place(sum(values, ())), rhs, r2, rows, lo, hi, equalities, failures)
+        if self.antistandard:
+            # each antidominant lam with candidates that the class loop left unjudged: it clears both maxima
+            for top in _decreasing_tuples(n, max(lo, -lam_bound), min(hi, lam_bound)):
+                lam = top[::-1]
+                rows = self.rows(lam, lo, hi)
+                rhs = pairing(lam, self.rho_gap)
+                r2 = pairing(lam, self.rho) - pairing(lam, self.rho_m)
+                if rhs > max(map(_F, rows)) and r2 >= max(map(_G, rows)):
+                    self.judge(lam, rhs, r2, rows, lo, hi, equalities, failures)
         return total, equalities, failures
 
-
-def _extended(classes, records):
-    """Each class extended by each record of one more block, as _LeviKernel.classes lists them."""
-    for tops, ords, choices, s, size, rhs, r2 in classes:
-        for top, orderings, choice, t, count, least_rhs, least_r2 in records:
-            if choices is None or choice is None:
-                yield None, None, None, s + t, size * count, 0, 0
-            else:
-                yield (
-                    tops + (top,), ords + (orderings,), choices + choice,
-                    s + t, size * count, rhs + least_rhs, r2 + least_r2,
-                )
+    def judge(self, lam: Vec, rhs: int, r2: int, rows: list[tuple], lo: int, hi: int, equalities, failures) -> None:
+        """Add lam's equalities and failures at each dominant nu of its sum in [lo, hi]^n."""
+        kept = self.witnesses(lam, rhs, r2, rows)
+        if not kept:
+            return  # an empty witness list holds at every nu and reports nothing
+        prefixes = [tuple(accumulate(found["mu_dom"])) for found, _ in kept]
+        for nu, nu_prefix in _dominant_nus(self.levi.n, lo, hi, sum(lam)):
+            below = [item for item, prefix in zip(kept, prefixes) if all(map(ge, nu_prefix, prefix))]
+            for found, _ in below:
+                if found["kind"] == "equality":
+                    equalities.append((lam, nu, found["mu"], found["mu_dom"], found["f"], rhs))
+            if not all(ok for _, ok in below):
+                failures.append((lam, nu, self.report(below)))
 
 
 def sweep_inequality(levi: BlockLevi, lam_bound: int, nu_bound: int) -> dict:

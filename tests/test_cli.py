@@ -92,6 +92,37 @@ def test_levi_command(capsys):
     assert row[0] == "[[1,3],[2,4]]" and row[1] == "True" and row[-1] == "True"
 
 
+def test_levi_formats_list_the_same_rows(capsys, monkeypatch):
+    # the TSV rows and the JSON payload are built by separate code; both must
+    # give the same summary and list the same equalities and failures in order
+    from flagstrata import levi as lv
+
+    def text(v):
+        return ",".join(map(str, v))
+
+    real_f = lv.f_val
+    argv = ["levi", "5", "[[1,3,5],[2,4]]", "2", "2"]
+    # f as it is, then one above at mu = 0, which fails every lam of sum 0 whose squeeze set holds 0
+    for f, code in [(real_f, 0), (lambda mu, levi: real_f(mu, levi) + (not any(mu)), 1)]:
+        monkeypatch.setattr(lv, "f_val", f)
+        tsv_code, out, _ = run(capsys, *argv)
+        json_code, dumped, _ = run(capsys, "--format", "json", *argv)
+        assert tsv_code == json_code == code
+        lines = [line.split("\t") for line in out.splitlines()]
+        data = json.loads(dumped)
+        summary = [str(data["levi"]).replace(" ", ""), data["antistandard"], data["pairs_checked"],
+                   len(data["equalities"]), len(data["failures"]), data["holds"]]
+        assert lines[1] == [str(x) for x in summary]
+        equalities = [row[1:] for row in lines[2:] if row[0] == "equality"]
+        failures = [row[1:3] for row in lines[2:] if row[0] == "FAILED-bound"]
+        assert len(lines) == 2 + len(equalities) + len(failures)
+        assert equalities == [
+            [text(e["lam"]), text(e["nu"]), text(e["mu"]), str(e["f"]), str(e["rhs"])] for e in data["equalities"]
+        ]
+        assert failures == [[text(e["lam"]), text(e["nu"])] for e in data["failures"]]
+        assert equalities and bool(failures) == (code == 1)
+
+
 def test_levi_command_runs_in_one_process(capsys):
     # every run is one process: --jobs is accepted and changes no byte
     for argv in (["levi", "4", "[[1,3],[2,4]]", "2", "2"], [*FAST_BOUNDS, "selftest"]):

@@ -544,6 +544,44 @@ def test_sweep_sees_rebound_f_val(monkeypatch):
     assert kinds == {"converse", "mismatch"}
 
 
+def test_sweep_calls_f_val_once_per_candidate_mu(monkeypatch):
+    # a sweep keeps one row per mu, so f_val runs once for each Levi-dominant mu
+    # in the nu box, however many classes hold that mu among their candidates
+    real_f = lv.f_val
+    for levi, calls in [(torus_levi(4), 625), (INTER4, 225), (lv.parse_blocks(5, "[[1,3,5],[2,4]]"), 525)]:
+        seen = []
+        monkeypatch.setattr(lv, "f_val", lambda mu, lev: seen.append(mu) or real_f(mu, lev))
+        lv.sweep_inequality(levi, 2, 2)
+        assert len(seen) == len(set(seen)) == calls, str(levi)
+        candidates = [mu for mu in product(range(-2, 3), repeat=levi.n) if lv.is_dominant_m(mu, levi)]
+        assert sorted(seen) == candidates
+
+
+def test_shared_caches_keep_no_hook_value(monkeypatch):
+    # the integer enumerations outlive a sweep; warmed by every antistandard Levi
+    # of rank <= 4, they must still give the oracle's sweep under a rebound
+    # pairing and f_val, so no cache holds a value that a hook computed
+    levis = [levi for n in range(1, 5) for levi in lv.antistandard_levis(n)]
+    boxes = ((1, 1), (2, 1), (1, 2))
+    for levi in levis:
+        for box in boxes:
+            lv.sweep_inequality(levi, *box)
+
+    def weighted(a, b):
+        if len(a) != len(b):
+            raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+        return sum((i + 1) * x * y for i, (x, y) in enumerate(zip(a, b)))
+
+    real_f = lv.f_val
+    monkeypatch.setattr(lv, "pairing", weighted)
+    monkeypatch.setattr(lv, "f_val", lambda mu, levi: real_f(mu, levi) + (not any(mu)))
+    hits = lv._block_choices.cache_info().hits
+    for levi in levis:
+        for box in boxes:
+            assert lv.sweep_inequality(levi, *box) == oracle_sweep(levi, *box), (str(levi), box)
+    assert lv._block_choices.cache_info().hits > hits
+
+
 def test_class_split_matches_literal_arrangement(monkeypatch):
     # the sweep splits <lam + mu, 2rho_M> <= <lam + dom_g(mu), 2rho> into a mu side
     # per class and a lam side per lam; under a weighted inner product, still
