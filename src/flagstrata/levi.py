@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from operator import ge, itemgetter
 
-from .coweights import pairing, weakly_decreasing, weakly_increasing
+from .coweights import pairing, partitions, weakly_decreasing, weakly_increasing
 
 Vec = tuple[int, ...]
 
@@ -189,19 +189,12 @@ def _check_pair(lam: Vec, nu: Vec, levi: BlockLevi) -> None:
 def _fixed_sum_tuples(length: int, lo: int, hi: int, total: int):
     """Weakly decreasing tuples with entries in [lo, hi] summing to total.
 
-    They come in decreasing lexicographic order.  The first entry is the
-    largest, so it is at least total / length, and the rest must be able to
-    reach their sum from entries >= lo; every branch taken yields a tuple.
+    They come in decreasing lexicographic order: with lo taken from each
+    entry, a tuple is a partition of total - length * lo into at most length
+    parts of at most hi - lo, padded with zeros.
     """
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    top = min(hi, total - (length - 1) * lo)
-    bottom = max(lo, -(-total // length))
-    for first in range(top, bottom - 1, -1):
-        for rest in _fixed_sum_tuples(length - 1, lo, first, total - first):
-            yield (first,) + rest
+    for parts in partitions(total - length * lo, max_parts=length, max_part=hi - lo):
+        yield tuple(lo + x for x in parts) + (lo,) * (length - len(parts))
 
 
 def f_val(mu: Vec, levi: BlockLevi) -> int:

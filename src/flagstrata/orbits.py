@@ -35,6 +35,11 @@ def dual_classifying_pairs(d: int, dp: int) -> list[tuple[Involution, tuple[int,
 
 
 def _pairs_with_inside(d: int, dp: int, hi_inside: bool) -> list[tuple[Involution, tuple[int, ...]]]:
+    """The pairs (w, J) with the inside points of w in J, in (mapping, J) order.
+
+    The involutions come sorted, and merging the inside points into each
+    lexicographic choice of extra points keeps the sets J lexicographic.
+    """
     n = d + dp
     out = []
     for w in enumerate_involutions(n, max_pairs=min(d, dp)):
@@ -44,7 +49,7 @@ def _pairs_with_inside(d: int, dp: int, hi_inside: bool) -> list[tuple[Involutio
         room = sorted(set(range(1, n + 1)) - inside - outside)
         for extra in combinations(room, d - len(inside)):
             out.append((w, tuple(sorted(inside | set(extra)))))
-    return sorted(out, key=lambda p: (p[0].mapping, p[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ every degree; up to PERM_SWEEP_MAX_DEGREE, character_table also sweeps each perm
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
@@ -27,19 +27,24 @@ Perm = tuple[int, ...]
 PERM_SWEEP_MAX_DEGREE = 7
 
 
-class Involution:
-    """A self-inverse permutation of {1..n} with its high/low point structure."""
+class Involution(namedtuple("Involution", "mapping")):
+    """A self-inverse permutation of {1..n} with its high/low point structure.
 
-    __slots__ = ("n", "mapping")
+    An immutable 1-tuple (mapping,) whose hash, equality and order are the
+    tuple's own: involutions sort by mapping, in C.
+    """
 
-    def __init__(self, mapping):
-        self.mapping = tuple(mapping)
-        self.n = len(self.mapping)
-        if sorted(self.mapping) != list(range(1, self.n + 1)):
-            raise ValueError(f"not a permutation of 1..{self.n}: {self.mapping}")
-        for i in range(1, self.n + 1):
-            if self.mapping[self.mapping[i - 1] - 1] != i:
-                raise ValueError(f"not an involution: {self.mapping}")
+    __slots__ = ()
+
+    def __new__(cls, mapping):
+        mapping = tuple(mapping)
+        n = len(mapping)
+        if sorted(mapping) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {mapping}")
+        for i, j in enumerate(mapping, 1):
+            if mapping[j - 1] != i:
+                raise ValueError(f"not an involution: {mapping}")
+        return super().__new__(cls, mapping)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> Involution:
@@ -53,8 +58,12 @@ class Involution:
         return self.mapping[i - 1]
 
     @property
+    def n(self) -> int:
+        return len(self.mapping)
+
+    @property
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, self(i)) for i in range(1, self.n + 1) if self(i) > i]
+        return [(i, j) for i, j in enumerate(self.mapping, 1) if j > i]
 
     @property
     def lo(self) -> frozenset:
@@ -69,20 +78,8 @@ class Involution:
         """The pairs and the singletons, ordered by their smallest point."""
         return [(i,) if j == i else (i, j) for i, j in enumerate(self.mapping, 1) if j >= i]
 
-    def __eq__(self, other):
-        return isinstance(other, Involution) and self.mapping == other.mapping
-
-    def __hash__(self):
-        return hash(self.mapping)
-
-    def __lt__(self, other):
-        return self.mapping < other.mapping
-
     def cycle_notation(self) -> str:
         return "".join(f"({i} {j})" for i, j in self.pairs) or "()"
-
-    def __repr__(self):
-        return f"Involution{self.mapping}"
 
 
 def all_perms(n: int):
@@ -111,26 +108,25 @@ def cycle_type(sigma: Perm) -> tuple[int, ...]:
 # pairings
 
 
-def _matchings(points: tuple[int, ...], pairs: int, allowed=None):
+def _matchings(points: tuple[int, ...], pairs: int):
     """Every way to split the sorted points into `pairs` pairs and fixed points.
 
     The smallest free point either stays fixed, while fixed points remain to
-    be placed, or pairs with a later free point b such that allowed(a, b).
-    Yields each splitting once, as its tuple of pairs (a, b) with a < b, in
-    increasing order of the involution it makes: the smallest free point is
-    fixed before it is paired, and paired with later points in increasing order.
+    be placed, or pairs with a later free point.  Yields each splitting once,
+    as its tuple of pairs (a, b) with a < b, in increasing order of the
+    involution it makes: the smallest free point is fixed before it is
+    paired, and paired with later points in increasing order.
     """
     if not points:
         yield ()
         return
     head, rest = points[0], points[1:]
     if len(points) > 2 * pairs:
-        yield from _matchings(rest, pairs, allowed)
+        yield from _matchings(rest, pairs)
     if pairs:
         for k, partner in enumerate(rest):
-            if allowed is None or allowed(head, partner):
-                for tail in _matchings(rest[:k] + rest[k + 1 :], pairs - 1, allowed):
-                    yield ((head, partner),) + tail
+            for tail in _matchings(rest[:k] + rest[k + 1 :], pairs - 1):
+                yield ((head, partner),) + tail
 
 
 @lru_cache(maxsize=None)
@@ -150,28 +146,12 @@ def pairing_count(d: int, dp: int) -> int:
 # the stratification index
 
 
-def condition_c(j_set, jp_set, n: int) -> bool:
-    """Prefix-count condition: |J' cap {1..k}| <= |J cap {1..k}| for all k."""
-    j = set(j_set)
-    jp = set(jp_set)
-    if len(j) != len(jp):
-        raise ValueError(f"|J| = {len(j)} differs from |J'| = {len(jp)}")
-    if any(x < 1 or x > n for x in j | jp):
-        raise ValueError(f"subsets must lie in 1..{n}")
-    count_j = count_jp = 0
-    for k in range(1, n + 1):
-        count_j += k in j
-        count_jp += k in jp
-        if count_jp > count_j:
-            return False
-    return True
-
-
 def enumerate_c_pairs(d: int, dp: int):
-    """All ordered pairs (J, J') of d-subsets satisfying the prefix condition.
+    """All ordered pairs (J, J') of d-subsets satisfying condition C.
 
-    Returns triples (J, J', disjoint) with J, J' sorted tuples, J' running
-    through _c_partners(J), in lexicographic order of (J, J').
+    Condition C is the prefix condition |J' cap {1..k}| <= |J cap {1..k}|
+    for every k.  Returns triples (J, J', disjoint) with J, J' sorted tuples,
+    J' running through _c_partners(J), in lexicographic order of (J, J').
     """
     if not 0 <= d <= dp:
         raise ValueError(f"need 0 <= d <= d', got d={d}, d'={dp}")
@@ -186,7 +166,7 @@ def enumerate_c_pairs(d: int, dp: int):
 def _c_partners(j: tuple[int, ...], start: int, n: int):
     """Sorted subsets J' of start..n with |J'| = |J| and J'_i >= J_i for each i.
 
-    For sorted J and J' of one size, that is condition_c: the i-th point of
+    For sorted J and J' of one size, that is condition C: the i-th point of
     J' comes no earlier than the i-th point of J exactly when no prefix of
     1..n holds more of J' than of J.  They come in lexicographic order, and
     every branch taken yields: first <= n - |J| + 1 leaves room for the rest.
@@ -199,34 +179,27 @@ def _c_partners(j: tuple[int, ...], start: int, n: int):
             yield (first,) + rest
 
 
-def strata_involutions(j_set, jp_set, n: int | None = None) -> list[Involution]:
-    """All involutions with low points J, high points J', pairing J upward into J'.
-
-    n is the ambient size; it defaults to max(J union J') and only affects how
-    many fixed points the returned involutions carry.
-    """
-    lows, highs = set(j_set), set(jp_set)
-    if lows & highs:
-        raise ValueError("J and J' must be disjoint")
-    if n is None:
-        n = max(lows | highs, default=0)
-    if not condition_c(lows, highs, n):
-        raise ValueError("prefix condition fails for (J, J')")
-    matchings = _matchings(tuple(sorted(lows | highs)), len(lows), lambda a, b: a in lows and b in highs)
-    return [Involution.from_pairs(n, pairs) for pairs in matchings]
-
-
 def stratify(d: int, dp: int):
     """Each C-pair (J, J', disjoint, strata), and whether the strata cover the pairings.
 
-    The cover holds when all strata, sorted, are enumerate_pairings(d, dp):
-    each pairing exactly once, not merely as many strata as pairings.
+    One walk of enumerate_pairings(d, dp) files each pairing under its low
+    points and its high points, both sorted; the stratum of a disjoint C-pair
+    (J, J') is what is filed under it, in increasing involution order.  The
+    cover holds when every pairing is taken by a disjoint C-pair and no such
+    C-pair takes nothing: each pairing in exactly one stratum, and each
+    stratum inhabited, as pairing J_i with J'_i shows it must be.
     """
+    filed: dict[tuple, list[Involution]] = {}
+    for w in enumerate_pairings(d, dp):
+        m = w.mapping
+        lows = tuple([i for i, j in enumerate(m, 1) if j > i])
+        highs = tuple([i for i, j in enumerate(m, 1) if j < i])
+        filed.setdefault((lows, highs), []).append(w)
     c_pairs = [
-        (j, jp, disjoint, strata_involutions(j, jp, d + dp) if disjoint else [])
+        (j, jp, disjoint, filed.pop((j, jp), []) if disjoint else [])
         for j, jp, disjoint in enumerate_c_pairs(d, dp)
     ]
-    return c_pairs, sorted(w for *_, ws in c_pairs for w in ws) == list(enumerate_pairings(d, dp))
+    return c_pairs, not filed and all(ws for _, _, disjoint, ws in c_pairs if disjoint)
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,13 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "schur-multiplicity-free\tFAIL" in out
     assert err == "schur-multiplicity-free: first failing cell (1, 0, 0)\n"
-    # as many strata as pairings, but one pairing repeated and the others missed
-    real = cli.st.strata_involutions
-    monkeypatch.setattr(cli.st, "strata_involutions", lambda j, jp, n: [real(j, jp, n)[0]] * len(real(j, jp, n)))
+    # a disjoint C-pair flagged not disjoint, so no stratum takes its two pairings
+    real = cli.st.enumerate_c_pairs
+    monkeypatch.setattr(
+        cli.st,
+        "enumerate_c_pairs",
+        lambda d, dp: [(j, jp, disjoint and (j, jp) != ((1, 2), (3, 4))) for j, jp, disjoint in real(d, dp)],
+    )
     code, out, _ = run(capsys, "strata", "2", "2")
     assert code == 1
     assert "pairings\t3\tstrata-cover\tFalse\t-" in out.splitlines()
@@ -193,6 +197,26 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     data = json.loads(out)
     assert code == 1 and data["strata_cover"] is True and data["induced_model_match"] is True
     assert data["pairing_count_mismatch"] == {"enumerated": 3, "pairing_count": 4}
+
+
+def test_empty_stratum_fails_the_cover(capsys, monkeypatch):
+    # a C-pair flagged disjoint that no pairing files under: every pairing is
+    # still in one stratum, but that stratum is empty, so the cover fails
+    real = cli.st.enumerate_c_pairs
+    monkeypatch.setattr(
+        cli.st,
+        "enumerate_c_pairs",
+        lambda d, dp: [(j, jp, disjoint or (j, jp) == ((1, 2), (2, 3))) for j, jp, disjoint in real(d, dp)],
+    )
+    code, out, _ = run(capsys, "strata", "2", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert "c-pair\t1,2\t2,3\tTrue\t-" in lines
+    assert "pairings\t3\tstrata-cover\tFalse\t-" in lines
+    code, out, _ = run(capsys, "--format", "json", "strata", "2", "2")
+    data = json.loads(out)
+    assert code == 1 and data["strata_cover"] is False
+    assert {"J": [1, 2], "Jp": [2, 3], "disjoint": True, "strata": []} in data["c_pairs"]
 
 
 def test_command_and_criterion_share_one_verdict(capsys, monkeypatch):
@@ -348,11 +372,11 @@ print(repr(st._induced_character_by_type(st.cycle_type((2, 3, 4, 1)), 2, 2)))
 # an even-rank closed form one above the flag bundle dimension
 cw.flag_bundle_dim_even = lambda n, r, g: real_even(n, r, g) + 1
 print(run["dimension-identity-audits"](dict(checks.DEFAULT_BOUNDS, identity_n=1)))
-# strata that cover none of the pairings
-real_strata = st.strata_involutions
-st.strata_involutions = lambda j, jp, n: []
+# no C-pairs, so no stratum takes any of the pairings
+real_c_pairs = st.enumerate_c_pairs
+st.enumerate_c_pairs = lambda d, dp: []
 print(run["induced-character-and-invariants"](dict(checks.DEFAULT_BOUNDS, induced_total=2, invariants_r=1)))
-st.strata_involutions = real_strata
+st.enumerate_c_pairs = real_c_pairs
 # a pairing gap one below its value: every bound holds, but none is attained
 lv.f_val = lambda mu, levi: real_f(mu, levi) - 1
 print(cli.main(["levi", "2", "[[1],[2]]", "1", "1"]))

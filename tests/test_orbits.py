@@ -25,6 +25,15 @@ def test_classifying_pair_membership():
             assert w.lo <= set(j) and not (w.hi & set(j)) and len(j) == d
 
 
+def test_classifying_pairs_come_sorted():
+    # in (mapping, J) order as built, with no sort of the whole list
+    for n in range(8):
+        for d in range(n + 1):
+            for build in (ob.classifying_pairs, ob.dual_classifying_pairs):
+                pairs = build(d, n - d)
+                assert pairs == sorted(pairs, key=lambda p: (p[0].mapping, p[1])), (build.__name__, d)
+
+
 def test_pair_counts_match_dual():
     for total in range(7):
         for d in range(total + 1):

@@ -16,6 +16,29 @@ def fixed(w):
     return frozenset(i for i in range(1, w.n + 1) if w(i) == i)
 
 
+def condition_c(j_set, jp_set, n):
+    """Prefix-count condition: |J' cap {1..k}| <= |J cap {1..k}| for all k."""
+    j = set(j_set)
+    jp = set(jp_set)
+    if len(j) != len(jp):
+        raise ValueError(f"|J| = {len(j)} differs from |J'| = {len(jp)}")
+    if any(x < 1 or x > n for x in j | jp):
+        raise ValueError(f"subsets must lie in 1..{n}")
+    count_j = count_jp = 0
+    for k in range(1, n + 1):
+        count_j += k in j
+        count_jp += k in jp
+        if count_jp > count_j:
+            return False
+    return True
+
+
+def strata_of(d, dp):
+    """Each disjoint C-pair (J, J') of (d, d'), mapped to its stratum."""
+    c_pairs, _ = st.stratify(d, dp)
+    return {(j, jp): ws for j, jp, disjoint, ws in c_pairs if disjoint}
+
+
 def test_involution_basics():
     w = st.Involution((2, 1, 3, 5, 4))
     assert w.pairs == [(1, 2), (4, 5)]
@@ -29,11 +52,11 @@ def test_involution_basics():
 
 
 def test_condition_c_examples():
-    assert st.condition_c({1}, {2}, 2)
-    assert not st.condition_c({2}, {1}, 2)
-    assert st.condition_c({1, 3}, {2, 4}, 4)
+    assert condition_c({1}, {2}, 2)
+    assert not condition_c({2}, {1}, 2)
+    assert condition_c({1, 3}, {2, 4}, 4)
     with pytest.raises(ValueError):
-        st.condition_c({1}, {1, 2}, 2)
+        condition_c({1}, {1, 2}, 2)
 
 
 def test_condition_c_pairs_lie_between_min_j_and_max_jp():
@@ -78,19 +101,19 @@ def test_enumerate_pairings_vs_filtered_perms():
 
 
 def test_strata_involutions_known_vectors():
-    assert [w.cycle_notation() for w in st.strata_involutions({1, 3}, {2, 4})] == [
+    assert [w.cycle_notation() for w in strata_of(2, 2)[(1, 3), (2, 4)]] == [
         "(1 2)(3 4)"
     ]
     assert sorted(
-        w.cycle_notation() for w in st.strata_involutions({1, 2}, {3, 4})
+        w.cycle_notation() for w in strata_of(2, 2)[(1, 2), (3, 4)]
     ) == ["(1 3)(2 4)", "(1 4)(2 3)"]
-    assert [w.cycle_notation() for w in st.strata_involutions({1}, {2})] == ["(1 2)"]
+    assert [w.cycle_notation() for w in strata_of(1, 1)[(1,), (2,)]] == ["(1 2)"]
 
 
 def test_strata_involutions_structure():
     for j, jp in [({1, 3}, {2, 4}), ({1, 2}, {3, 4}), ({1, 2}, {4, 5})]:
         n = max(j | jp)
-        for w in st.strata_involutions(j, jp, n):
+        for w in strata_of(len(j), n - len(j))[tuple(sorted(j)), tuple(sorted(jp))]:
             assert w.lo == set(j) and w.hi == set(jp)
             assert all(i < w(i) for i in j)
             assert fixed(w) == set(range(1, n + 1)) - j - jp
@@ -100,17 +123,11 @@ def test_strata_involutions_vs_filtered_perms():
     for n in range(7):
         involutions = _brute_involutions(n)
         for d in range(n // 2 + 1):
+            strata = strata_of(d, n - d)
             for j, jp, disjoint in st.enumerate_c_pairs(d, n - d):
                 if disjoint:
                     want = [w for w in involutions if w.lo == set(j) and w.hi == set(jp)]
-                    assert st.strata_involutions(j, jp, n) == sorted(want), (j, jp)
-
-
-def test_strata_involutions_preconditions():
-    with pytest.raises(ValueError):
-        st.strata_involutions({1, 2}, {2, 3})
-    with pytest.raises(ValueError):
-        st.strata_involutions({2}, {1})
+                    assert strata[j, jp] == sorted(want), (j, jp)
 
 
 def test_enumerate_c_pairs():
@@ -128,7 +145,7 @@ def _c_pairs_by_filter(d, dp):
         (j, jp, not set(j) & set(jp))
         for j in subsets
         for jp in subsets
-        if st.condition_c(j, jp, n)
+        if condition_c(j, jp, n)
     ]
 
 
@@ -141,13 +158,9 @@ def test_enumerate_c_pairs_vs_all_pairs_filter():
 def test_every_pairing_comes_from_one_stratum():
     for d in range(5):
         for dp in range(d, 5):
-            n = d + dp
-            covered = 0
-            for j, jp, disjoint in st.enumerate_c_pairs(d, dp):
-                if not disjoint:
-                    continue
-                covered += len(st.strata_involutions(j, jp, n))
+            covered = sum(len(ws) for ws in strata_of(d, dp).values())
             assert covered == len(st.enumerate_pairings(d, dp))
+            assert st.stratify(d, dp)[1] is True
 
 
 def identity_perm(n):
